@@ -192,32 +192,50 @@ def _primes_1mod4(count: int = 8):
     return _PRIMES[:count]
 
 
-def _scaled_integer_rows(M: ScalarMatrix):
-    """Clear denominators row by row (kernel-preserving); Gaussian ints."""
+def _modp_matrix(M: ScalarMatrix, p: int, omega: int) -> np.ndarray:
+    """M reduced mod p with i -> omega, entries in [0, p).
+
+    Each distinct coefficient is reduced once: an operator shares a few
+    coefficient objects among all its entries, so reductions are cached by
+    object (every entry is alive for the whole call, so ids are not reused).
+    A Gaussian rational has an image mod p only when p divides none of its
+    denominators; otherwise the rows are scaled to Gaussian integers first,
+    which keeps the kernel and so the rank bound."""
+    reduced: dict[int, int] = {}
+    values = []
+    for v in M.entries.values():
+        x = reduced.get(id(v))
+        if x is None:
+            re, im = v.re, v.im
+            if not (re.denominator % p and im.denominator % p):
+                return _scaled_modp_matrix(M, p, omega)
+            x = reduced[id(v)] = (re.numerator * pow(re.denominator, -1, p)
+                                  + omega * im.numerator * pow(im.denominator, -1, p)) % p
+        values.append(x)
+    A = np.zeros(M.shape, dtype=np.int64)
+    if values:
+        A[tuple(np.array(list(M.entries), dtype=np.intp).T)] = values
+    return A
+
+
+def _scaled_modp_matrix(M: ScalarMatrix, p: int, omega: int) -> np.ndarray:
+    """_modp_matrix when p divides a denominator: clear denominators row by
+    row (kernel-preserving), then reduce the Gaussian integers mod p."""
     from math import lcm
 
     denom: dict[int, int] = {}
     for (r, _), v in M.entries.items():
         denom[r] = lcm(denom.get(r, 1), v.re.denominator, v.im.denominator)
-    out: dict[int, list[tuple[int, int, int]]] = {r: [] for r in denom}
+    A = np.zeros(M.shape, dtype=np.int64)
     for (r, c), v in M.entries.items():
         d = denom[r]
-        out[r].append((c, int(v.re * d), int(v.im * d)))
-    return out
-
-
-def _modp_matrix(M: ScalarMatrix, p: int, omega: int) -> np.ndarray:
-    rows, cols = M.shape
-    A = np.zeros((rows, cols), dtype=np.int64)
-    for r, terms in _scaled_integer_rows(M).items():
-        for (c, re, im) in terms:
-            A[r, c] = (re + im * omega) % p
+        A[r, c] = (int(v.re * d) + int(v.im * d) * omega) % p
     return A
 
 
 def _modp_rank(A: np.ndarray, p: int) -> int:
-    """In-place row echelon over GF(p); touches only rows that need work."""
-    A = A % p
+    """In-place row echelon over GF(p), entries in [0, p); touches only rows
+    that need work."""
     rows, cols = A.shape
     pr = 0
     for pc in range(cols):
@@ -264,14 +282,18 @@ def _from_gaussian(g) -> QQi:
                Fraction(int(y.numerator), int(y.denominator)))
 
 
-def _sympy_nullspace(M: ScalarMatrix):
+def _sympy_rref(M: ScalarMatrix):
     # Gauss-Jordan with division keeps the entries of these sparse operators
     # small. DomainMatrix.nullspace() goes through the fraction-free rref_den
     # instead, whose coefficients grow very large: 84.6 s against 0.08 s
     # on a 593x670 Heisenberg Ore operator. Calling .nullspace() on the GJ
     # result would run that elimination again, so the basis is read straight
     # off the RREF, which is unique and so gives the same canonical basis.
-    rref, pivots = _to_domain_matrix(M).rref(method="GJ")
+    return _to_domain_matrix(M).rref(method="GJ")
+
+
+def _sympy_nullspace(M: ScalarMatrix):
+    rref, pivots = _sympy_rref(M)
     ns = rref.nullspace_from_rref(pivots).to_sparse()
     basis = []
     items = ns.rep.to_dok().items()
@@ -306,8 +328,8 @@ def rank_nullity(M: ScalarMatrix, tol: float | None = None) -> tuple[int, int]:
     p, omega = _primes_1mod4(1)[0]
     if _modp_rank(_modp_matrix(M, p, omega), p) == cols:
         return cols, 0  # mod-p rank is a lower bound, so this is exact
-    basis = _sympy_nullspace(M)
-    return cols - len(basis), len(basis)
+    _, pivots = _sympy_rref(M)
+    return len(pivots), cols - len(pivots)
 
 
 def nullspace_basis(M: ScalarMatrix, tol: float | None = None) -> list:

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fusion import (FusionRing, ball, boundary_decomposition,
-                     conjugation_closure, weighted_size)
+from .fusion import (FusionRing, _weight, ball, boundary_decomposition,
+                     conjugation_closure)
 from .util import map_ordered
 
 
@@ -134,9 +134,9 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
 
 def _profile_row(ring, F, S, radius) -> ProfileRow:
     dec = boundary_decomposition(ring, F, S)
-    fw = weighted_size(ring, F)
-    bw = weighted_size(ring, dec.boundary)
-    sw = weighted_size(ring, dec.symmetric_boundary)
+    fw = _weight(ring, F)
+    bw = _weight(ring, dec.boundary)
+    sw = _weight(ring, dec.symmetric_boundary)
     return ProfileRow(radius=radius, window_weight=fw, boundary_weight=bw,
                       symmetric_boundary_weight=sw, ratio=Fraction(sw, fw))
 

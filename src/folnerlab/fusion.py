@@ -24,6 +24,10 @@ Three provider families are built in:
 * ``finite:S3``  -- the representation ring of S3: labels triv, sgn, std
                     with dimensions 1, 1, 2.
 
+Labels are checked once, where they enter a public function; the inner
+loops then run on the trusted surface (``_dim``, ``_conj``, ``_support``),
+which assumes canonical labels and validates nothing.
+
 Rings are immutable after construction; the ball/product caches are pure
 and only ever grow, so concurrent readers are safe.
 """
@@ -40,7 +44,8 @@ class InvalidLabelError(ValueError):
 
 
 class FusionRing:
-    """Base class; subclasses provide unit, dim, conj and product."""
+    """Base class; subclasses provide unit, dim, conj and product, and the
+    trusted forms _dim and _conj (and _support where it beats product)."""
 
     tag: str
     is_finite = False
@@ -68,6 +73,18 @@ class FusionRing:
 
     def irreducibles(self) -> list:
         raise ValueError(f"ring {self.tag} has infinitely many irreducibles")
+
+    # trusted surface: arguments are canonical labels, nothing is checked
+
+    def _dim(self, u) -> int:
+        raise NotImplementedError
+
+    def _conj(self, u):
+        raise NotImplementedError
+
+    def _support(self, u, v):
+        """The labels of supp(u x v), as an iterable."""
+        return self.product(u, v)
 
     # shared operations ------------------------------------------------------
 
@@ -117,6 +134,15 @@ class SU2FusionRing(FusionRing):
     def product(self, u, v):
         return {w: 1 for w in range(abs(u - v), u + v + 1, 2)}
 
+    def _dim(self, u):
+        return u + 1
+
+    def _conj(self, u):
+        return u
+
+    def _support(self, u, v):
+        return range(abs(u - v), u + v + 1, 2)
+
 
 class GroupFusionRing(FusionRing):
     """Group fusion ring: one 1-dimensional label per group element."""
@@ -141,6 +167,15 @@ class GroupFusionRing(FusionRing):
 
     def product(self, u, v):
         return {self.group.mul(u, v): 1}
+
+    def _dim(self, u):
+        return 1
+
+    def _conj(self, u):
+        return self.group._inv(u)
+
+    def _support(self, u, v):
+        return (self.group._mul(u, v),)
 
     def irreducibles(self):
         return self.sorted_labels(self.group.elements())
@@ -179,6 +214,12 @@ class S3FusionRing(FusionRing):
     def product(self, u, v):
         key = (u, v) if (u, v) in self._table else (v, u)
         return dict(self._table[key])
+
+    def _dim(self, u):
+        return self._dims[u]
+
+    def _conj(self, u):
+        return u
 
     def sort_key(self, u):
         return self.labels.index(u)
@@ -227,11 +268,17 @@ class BoundaryData:
 
 def weighted_size(ring: FusionRing, F: Iterable) -> int:
     """|F| = sum of n_u^2 over F; exact integer."""
-    return sum(ring.dim(u) ** 2 for u in ring.label_set(F))
+    return _weight(ring, ring.label_set(F))
+
+
+def _weight(ring: FusionRing, labels) -> int:
+    """weighted_size of a set of labels that were already checked."""
+    dim = ring._dim
+    return sum(dim(u) ** 2 for u in labels)
 
 
 def conjugate_set(ring: FusionRing, F: Iterable) -> frozenset:
-    return frozenset(ring.conj(u) for u in F)
+    return frozenset(map(ring._conj, ring.label_set(F)))
 
 
 def conjugation_closure(ring: FusionRing, F: Iterable) -> frozenset:
@@ -257,21 +304,22 @@ def boundary_decomposition(ring: FusionRing, F: Iterable, S: Iterable,
         raise ValueError("boundary decomposition needs a non-empty S")
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    if side == "right":
+        supp = ring._support
+    else:
+        def supp(u, v):
+            return ring._support(v, u)
 
-    def mul(u, v):
-        return ring.product(u, v) if side == "right" else ring.product(v, u)
-
-    interior = {u for u in F if all(set(mul(u, v)) <= F for v in S)}
+    interior = {u for u in F if all(w in F for v in S for w in supp(u, v))}
     boundary = F - interior
     # Frobenius: u in bd_S(F^c) iff u not in F and some supp(u x v) meets F,
     # iff u lies in supp(w x conj(v)) for some w in F, v in S (right side);
     # mirrored to supp(conj(v) x w) on the left.
+    conj_S = [ring._conj(v) for v in S]
     reach = set()
     for w in F:
-        for v in S:
-            vb = ring.conj(v)
-            prod = ring.product(w, vb) if side == "right" else ring.product(vb, w)
-            reach.update(prod)
+        for vb in conj_S:
+            reach.update(supp(w, vb))
     coboundary = reach - F
     return BoundaryData(interior, boundary, coboundary)
 
@@ -296,7 +344,7 @@ def ball(ring: FusionRing, S: Iterable, radius: int) -> frozenset:
             new = set()
             for u in frontier:
                 for v in gens:
-                    new.update(ring.product(u, v))
+                    new.update(ring._support(u, v))
             balls.append(prev | new)
         ring._ball_cache[key] = balls
     return balls[radius]

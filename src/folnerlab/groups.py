@@ -13,6 +13,8 @@ factor, a tuple of ints otherwise.
 
 from __future__ import annotations
 
+from operator import add
+
 
 class CyclicProductGroup:
     """Direct product of cyclic groups; ``moduli[k] == 0`` means a Z factor."""
@@ -22,6 +24,7 @@ class CyclicProductGroup:
             raise ValueError(f"bad moduli {moduli!r}: each must be 0 or >= 2")
         self.moduli = tuple(moduli)
         self.scalar_labels = len(moduli) == 1
+        self._free = not any(moduli)
 
     @property
     def name(self) -> str:
@@ -45,21 +48,36 @@ class CyclicProductGroup:
 
     def normalize(self, g):
         t = self._tuple(g)
+        if self._free:
+            return self._out(t)
         return self._out(tuple(x % m if m else x for x, m in zip(t, self.moduli)))
 
     def identity(self):
         return self._out((0,) * len(self.moduli))
 
     def mul(self, g, h):
-        a, b = self._tuple(g), self._tuple(h)
-        return self._out(tuple(
-            (x + y) % m if m else x + y
-            for x, y, m in zip(a, b, self.moduli)
-        ))
+        return self._mul(self.normalize(g), self.normalize(h))
 
     def inv(self, g):
-        t = self._tuple(g)
-        return self._out(tuple((-x) % m if m else -x for x, m in zip(t, self.moduli)))
+        return self._inv(self.normalize(g))
+
+    # trusted group law: arguments are labels already in normal form, so
+    # nothing is validated; the library's inner loops call these after the
+    # labels were checked once on entry
+
+    def _mul(self, g, h):
+        if self.scalar_labels:
+            m = self.moduli[0]
+            return (g + h) % m if m else g + h
+        if self._free:
+            return tuple(map(add, g, h))
+        return tuple((x + y) % m if m else x + y for x, y, m in zip(g, h, self.moduli))
+
+    def _inv(self, g):
+        if self.scalar_labels:
+            m = self.moduli[0]
+            return (-g) % m if m else -g
+        return tuple((-x) % m if m else -x for x, m in zip(g, self.moduli))
 
     @property
     def is_finite(self) -> bool:
@@ -117,6 +135,11 @@ class HeisenbergGroup:
     def inv(self, g):
         a, b, c = g
         return self._red((-a, -b, a * b - c))
+
+    # the law reads normal forms without validating them, so the trusted
+    # forms used in inner loops are the same functions
+    _mul = mul
+    _inv = inv
 
     @property
     def is_finite(self) -> bool:

@@ -450,7 +450,7 @@ class RestrictedOperator:
 def _basis_triples(ring, labels):
     out = []
     for label in ring.sorted_labels(labels):
-        n = ring.dim(label)
+        n = ring._dim(label)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 out.append((label, i, j))
@@ -466,8 +466,7 @@ def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",
     Any image component outside F is a genuine bug, not bad input: the
     fusion-support inclusion makes it impossible, so it raises RuntimeError.
     """
-    algebra = T.algebra
-    ring = algebra.ring
+    ring = T.algebra.ring
     if T.is_zero():
         raise AlgebraError("restricted multiplication needs a nonzero matrix")
     if side not in ("right", "left"):
@@ -477,7 +476,17 @@ def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",
     if not supp <= S:
         raise AlgebraError("S must contain the support of T")
     F = ring.label_set(F)
-    dec = boundary_decomposition(ring, F, S, side=side)
+    return _restricted_operator(T, F, S, boundary_decomposition(ring, F, S, side=side),
+                                side)
+
+
+def _restricted_operator(T: MatrixOverPol, F: frozenset, S: frozenset, dec,
+                         side: str) -> RestrictedOperator:
+    """restricted_mult_matrix on checked labels, given the boundary
+    decomposition ``dec`` of F over S on ``side``, so that callers which
+    already hold it do not compute it again."""
+    algebra = T.algebra
+    ring = algebra.ring
     interior = dec.interior
     n = T.n
 
@@ -485,29 +494,12 @@ def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",
     cod_triples = _basis_triples(ring, F)
     domain_basis = tuple((comp, *t) for comp in range(n) for t in dom_triples)
     codomain_basis = tuple((comp, *t) for comp in range(n) for t in cod_triples)
-    cod_index = {key: r for r, key in enumerate(codomain_basis)}
-
-    entries = {}
-    mode = algebra.mode
-    for col, (comp, label, i, j) in enumerate(domain_basis):
-        x = algebra.basis(label, i, j)
-        for out_comp in range(n):
-            t = T.entries[comp][out_comp] if side == "right" else T.entries[out_comp][comp]
-            if t.is_zero():
-                continue
-            prod = algebra.multiply(x, t) if side == "right" else algebra.multiply(t, x)
-            for (key, c) in prod._coeffs.items():
-                row = cod_index.get((out_comp, *key))
-                if row is None:
-                    raise RuntimeError(
-                        f"fusion inclusion violated: component {key[0]!r} escaped F")
-                if mode == FLOAT:
-                    c = c * math.sqrt(ring.dim(label) / ring.dim(key[0]))
-                prev = entries.get((row, col))
-                entries[(row, col)] = c if prev is None else prev + c
-    entries = {k: v for k, v in entries.items() if v}
+    if isinstance(ring, GroupFusionRing):
+        entries = _translate_entries(T, side, dom_triples, cod_triples)
+    else:
+        entries = _multiply_entries(T, side, domain_basis, codomain_basis)
     matrix = exactla.ScalarMatrix.from_entries(
-        entries, (len(codomain_basis), len(domain_basis)), mode)
+        entries, (len(codomain_basis), len(domain_basis)), algebra.mode)
     return RestrictedOperator(
         algebra, n, side,
         window=ring.sorted_labels(F),
@@ -518,6 +510,65 @@ def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",
         matrix=matrix,
         zero_columns=not interior,
     )
+
+
+def _escaped(label):
+    return RuntimeError(f"fusion inclusion violated: component {label!r} escaped F")
+
+
+def _translate_entries(T, side, dom_triples, cod_triples) -> dict:
+    """Group rings: the image of the basis element x of component comp has,
+    in output component k, the translate x supp(t) (supp(t) x on the left)
+    of t = T[comp][k] (T[k][comp] on the left) as support, carrying t's
+    coefficients. Translation is injective, so entries are copied from t
+    and never summed: no scalar product is formed."""
+    mul = T.algebra.ring.group._mul
+    row_of = {label: r for r, (label, _, _) in enumerate(cod_triples)}
+    size = len(cod_triples)
+    entries = {}
+    col = 0
+    for comp in range(T.n):
+        # (row offset of output component k, terms of the entry), k ascending
+        blocks = []
+        for k in range(T.n):
+            t = T.entries[comp][k] if side == "right" else T.entries[k][comp]
+            if not t.is_zero():
+                blocks.append((k * size, [(h, c) for (h, _, _), c in t._coeffs.items()]))
+        for x, _, _ in dom_triples:
+            for offset, terms in blocks:
+                for h, c in terms:
+                    w = mul(x, h) if side == "right" else mul(h, x)
+                    r = row_of.get(w)
+                    if r is None:
+                        raise _escaped(w)
+                    entries[(offset + r, col)] = c
+            col += 1
+    return entries
+
+
+def _multiply_entries(T, side, domain_basis, codomain_basis) -> dict:
+    """Generic providers: multiply each basis element by T through the
+    provider's multiplication and read off the image coordinates."""
+    algebra = T.algebra
+    ring = algebra.ring
+    cod_index = {key: r for r, key in enumerate(codomain_basis)}
+    entries = {}
+    for col, (comp, label, i, j) in enumerate(domain_basis):
+        x = algebra.basis(label, i, j)
+        for out_comp in range(T.n):
+            t = T.entries[comp][out_comp] if side == "right" else T.entries[out_comp][comp]
+            if t.is_zero():
+                continue
+            prod = algebra.multiply(x, t) if side == "right" else algebra.multiply(t, x)
+            for (key, c) in prod._coeffs.items():
+                row = cod_index.get((out_comp, *key))
+                if row is None:
+                    raise _escaped(key[0])
+                if algebra.mode == FLOAT:
+                    c = c * math.sqrt(ring._dim(label) / ring._dim(key[0]))
+                prev = entries.get((row, col))
+                entries[(row, col)] = c if prev is None else prev + c
+    return {k: v for k, v in entries.items() if v}
 
 
 def full_mult_matrix(T: MatrixOverPol, side: str = "right") -> RestrictedOperator:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla
-from .fusion import boundary_decomposition, conjugate_set, weighted_size
+from .fusion import _weight, boundary_decomposition, weighted_size
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol,
-                     full_mult_matrix, restricted_mult_matrix)
+                     _restricted_operator, full_mult_matrix)
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class DimensionEstimate:
 
 def _require_conj_closed(ring, F):
     F = ring.label_set(F)
-    if conjugate_set(ring, F) != F:
+    if frozenset(ring._conj(u) for u in F) != F:
         raise ValueError("window must be conjugation-closed")
     return F
 
@@ -120,7 +120,7 @@ def relative_dimension(algebra, vectors, F, n: int = 1) -> Fraction:
         return Fraction(0)
     M = exactla.ScalarMatrix.from_rows(rows, algebra.mode)
     rank, _ = exactla.rank_nullity(M)
-    return Fraction(rank, weighted_size(ring, F))
+    return Fraction(rank, _weight(ring, F))
 
 
 def kernel_dim_estimate(T: MatrixOverPol, F, side: str = "right") -> DimensionEstimate:
@@ -129,11 +129,16 @@ def kernel_dim_estimate(T: MatrixOverPol, F, side: str = "right") -> DimensionEs
         raise AlgebraError("kernel estimate needs a nonzero matrix")
     ring = T.algebra.ring
     F = _require_conj_closed(ring, F)
-    S = T.support()
-    dec = boundary_decomposition(ring, F, S, side=side)
-    fw = weighted_size(ring, F)
-    bw = weighted_size(ring, dec.boundary)
-    iw = weighted_size(ring, dec.interior)
+    return _estimate(T, F, boundary_decomposition(ring, F, T.support(), side=side), side)
+
+
+def _estimate(T: MatrixOverPol, F: frozenset, dec, side: str) -> DimensionEstimate:
+    """kernel_dim_estimate on a checked conjugation-closed window F, given
+    the boundary decomposition ``dec`` of F over supp(T) on ``side``."""
+    ring = T.algebra.ring
+    fw = _weight(ring, F)
+    bw = _weight(ring, dec.boundary)
+    iw = _weight(ring, dec.interior)
     n = T.n
     window = ring.sorted_labels(F)
     if not dec.interior:
@@ -142,7 +147,7 @@ def kernel_dim_estimate(T: MatrixOverPol, F, side: str = "right") -> DimensionEs
             boundary_ratio=Fraction(bw, fw), window_weight=fw,
             boundary_weight=bw, interior_weight=0, nullity=0, rank=0,
             side=side, degenerate=True)
-    op = restricted_mult_matrix(T, F, side=side)
+    op = _restricted_operator(T, F, T.support(), dec, side)
     rank, nullity = exactla.rank_nullity(op.matrix)
     lower = Fraction(nullity, fw)
     ratio = Fraction(bw, fw)

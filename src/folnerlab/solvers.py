@@ -28,9 +28,9 @@ from fractions import Fraction
 
 from . import exactla
 from .folner import ExhaustionReport, ProfileRow
-from .fusion import ball, boundary_decomposition, weighted_size
+from .fusion import _weight, ball, boundary_decomposition
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol,
-                     restricted_mult_matrix)
+                     _restricted_operator, restricted_mult_matrix)
 from .reldim import DimensionEstimate, kernel_dim_estimate
 from .scalars import EXACT
 
@@ -149,8 +149,8 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
     for radius in range(max_radius + 1):
         F = ball(ring, S, radius)
         dec = boundary_decomposition(ring, F, S, side="left")
-        fw = weighted_size(ring, F)
-        bw = weighted_size(ring, dec.boundary)
+        fw = _weight(ring, F)
+        bw = _weight(ring, dec.boundary)
         profile.append(ProfileRow(
             radius=radius, window_weight=fw, boundary_weight=bw,
             symmetric_boundary_weight=bw, ratio=Fraction(bw, fw)))
@@ -162,12 +162,12 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
             ring=ring.tag, S=ring.sorted_labels(S), epsilon=Fraction(1, 2),
             max_radius=max_radius, strategy="ore-ball", profile=tuple(profile))
     radius, F, dec, fw, bw = chosen
-    iw = weighted_size(ring, dec.interior)
+    iw = _weight(ring, dec.interior)
     if not 2 * iw > fw:  # the counting guarantee behind the kernel
         raise RuntimeError("window bookkeeping is broken: 2|int| <= |F|")
 
-    ra = restricted_mult_matrix(MatrixOverPol.from_element(a), F, side="left", S=S)
-    rs = restricted_mult_matrix(MatrixOverPol.from_element(s), F, side="left", S=S)
+    ra = _restricted_operator(MatrixOverPol.from_element(a), F, S, dec, "left")
+    rs = _restricted_operator(MatrixOverPol.from_element(s), F, S, dec, "left")
     alpha = _hstack(ra.matrix, _negate(rs.matrix))
     kernel = exactla.nullspace_basis(alpha)
     if not kernel:

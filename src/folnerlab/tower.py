@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fusion import GroupFusionRing, boundary_decomposition, weighted_size
+from .fusion import (GroupFusionRing, _weight, boundary_decomposition,
+                     weighted_size)
 from .groups import CyclicProductGroup, HeisenbergGroup
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, algebra_for)
-from .reldim import (DimensionEstimate, exact_mvn_dim_finite,
-                     kernel_dim_estimate)
+from .reldim import (DimensionEstimate, _estimate, _require_conj_closed,
+                     exact_mvn_dim_finite)
 from .util import map_ordered
 
 
@@ -259,13 +260,12 @@ def tower_kernel_dims(T: MatrixOverPol, tower: QuotientTower, F,
     if T.algebra is not tower.source:
         raise AlgebraError("matrix does not live in the tower source")
     ring = T.algebra.ring
-    F = ring.label_set(F)
+    F = _require_conj_closed(ring, F)
     S = T.support()
     omega = omega_set(ring, F, S)
-    estimate = kernel_dim_estimate(T, F, side=side)
     dec = boundary_decomposition(ring, F, S, side=side)
-    bound = 2 * T.n * Fraction(weighted_size(ring, dec.boundary),
-                               weighted_size(ring, F))
+    estimate = _estimate(T, F, dec, side)
+    bound = 2 * T.n * Fraction(_weight(ring, dec.boundary), _weight(ring, F))
 
     def level(qmap: QuotientMap) -> LevelReport:
         injective = qmap.injective_on(omega)

@@ -173,3 +173,79 @@ def test_deterministic_outputs():
     b = nullspace_basis(M)
     assert a == b
     assert rank_nullity(M) == rank_nullity(M)
+
+
+def _banded_gaussian(rng, rows, cols):
+    # every column has a nonzero diagonal entry, a subdiagonal one and one
+    # more at random: non-unit denominators, Gaussian entries, a few values
+    # shared between entries
+    shared = [QQi(Fraction(rng.randint(1, 7), rng.randint(2, 5)),
+                  Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(4)]
+    entries = {}
+    for c in range(cols):
+        for r in (c, c + 1, rng.randrange(rows)):
+            entries[(r, c)] = rng.choice(shared) if rng.random() < 0.5 else \
+                QQi(Fraction(rng.choice((-5, -3, -1, 1, 2, 4)), rng.randint(1, 6)),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return entries
+
+
+def _sympy_rank(M):
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    data = {}
+    for (r, c), v in M.entries.items():
+        data.setdefault(r, {})[c] = QQ_I.new(QQ(v.re.numerator, v.re.denominator),
+                                             QQ(v.im.numerator, v.im.denominator))
+    return DomainMatrix(data, M.shape, QQ_I).rank()
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    orig = getattr(exactla, name)
+
+    def wrapper(*args):
+        calls.append(name)
+        return orig(*args)
+
+    monkeypatch.setattr(exactla, name, wrapper)
+    return calls
+
+
+def test_modp_reduction_agrees_with_sympy_rank(monkeypatch, rng):
+    rows, cols = 140, 130
+    assert cols > exactla.DENSE_EXACT_LIMIT
+    full = _banded_gaussian(rng, rows, cols)
+    # the same matrix with two planted column dependencies, so the mod-p
+    # rank falls short and the rank comes from the RREF pivots
+    dependent = dict(full)
+    for c in (7, 90):
+        for r in range(rows):
+            dependent.pop((r, c), None)
+        for (r, k), v in full.items():
+            if k == c - 1:
+                dependent[(r, c)] = v * QQi(Fraction(2, 3), 1)
+    fallback = _spy(monkeypatch, "_scaled_modp_matrix")
+    rref = _spy(monkeypatch, "_sympy_rref")
+    for entries, nullity, rrefs in ((full, 0, 0), (dependent, 2, 1)):
+        M = ScalarMatrix.from_entries(entries, (rows, cols), EXACT)
+        want = _sympy_rank(M)
+        assert want == cols - nullity
+        assert rank_nullity(M) == (want, cols - want)
+        assert len(rref) == rrefs  # full rank is certified mod p alone
+    assert not fallback  # p divides none of these denominators
+
+
+def test_modp_prime_dividing_a_denominator_falls_back(monkeypatch, rng):
+    rows, cols = 140, 130
+    p, _ = exactla._primes_1mod4(1)[0]
+    entries = _banded_gaussian(rng, rows, cols)
+    entries[(3, 3)] = QQi(Fraction(5, p), Fraction(1, 2))
+    entries[(60, 61)] = QQi(Fraction(1, 3), Fraction(-7, 2 * p))
+    M = ScalarMatrix.from_entries(entries, (rows, cols), EXACT)
+    want = _sympy_rank(M)
+    fallback = _spy(monkeypatch, "_scaled_modp_matrix")
+    assert rank_nullity(M) == (want, cols - want)
+    assert fallback
+    assert len(nullspace_basis(M)) == cols - want

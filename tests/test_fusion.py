@@ -89,6 +89,42 @@ def test_invalid_label_errors():
         Z2.product_support((1, 2, 3), (0, 0))
 
 
+# labels are checked where they enter the library: every public edge still
+# rejects a bad label although the inner loops no longer check them
+BAD_Z2_LABELS = [(1, 2, 3), (1,), (0.5, 0), 1.5, [0, 0, 0, 0]]
+
+
+def _z2_label_edges():
+    from folnerlab import (MatrixOverPol, algebra_for, kernel_dim_estimate,
+                           restricted_mult_matrix)
+
+    A = algebra_for("group:Z^2")
+    T = MatrixOverPol.from_element(A.one() - A.group_element((1, 0)))
+    F = [(0, 0), (1, 0), (-1, 0)]
+    group = Z2.group
+    return {
+        "boundary_decomposition-F": lambda bad: boundary_decomposition(Z2, F + [bad], [(1, 0)]),
+        "boundary_decomposition-S": lambda bad: boundary_decomposition(Z2, F, [(1, 0), bad]),
+        "restricted_mult_matrix-F": lambda bad: restricted_mult_matrix(T, F + [bad]),
+        "restricted_mult_matrix-S": lambda bad: restricted_mult_matrix(
+            T, F, S=[(0, 0), (1, 0), bad]),
+        "kernel_dim_estimate": lambda bad: kernel_dim_estimate(T, F + [bad]),
+        "weighted_size": lambda bad: weighted_size(Z2, F + [bad]),
+        "ball": lambda bad: ball(Z2, [(1, 0), bad], 2),
+        "product_support": lambda bad: Z2.product_support((1, 0), bad),
+        "CyclicProductGroup.mul": lambda bad: group.mul(bad, (1, 0)),
+    }
+
+
+@pytest.mark.parametrize("edge", sorted(_z2_label_edges()))
+@pytest.mark.parametrize("bad", BAD_Z2_LABELS, ids=repr)
+def test_invalid_label_rejected_at_every_public_edge(edge, bad):
+    call = _z2_label_edges()[edge]
+    expected = ValueError if edge == "CyclicProductGroup.mul" else InvalidLabelError
+    with pytest.raises(expected):
+        call(bad)
+
+
 # ---------------------------------------------------------------------------
 # weighted_size
 

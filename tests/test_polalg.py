@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from folnerlab import (AlgebraError, MatrixOverPol, algebra_for, ball,
-                       full_mult_matrix, rank_nullity, restricted_mult_matrix,
-                       support, weighted_size)
+                       boundary_decomposition, full_mult_matrix, rank_nullity,
+                       restricted_mult_matrix, support, weighted_size)
 from folnerlab.scalars import EXACT, QQi
 
-from conftest import random_element
+from conftest import random_element, small_support
 
 AZ = algebra_for("group:Z")
 AZ2 = algebra_for("group:Z^2")
@@ -337,3 +337,77 @@ def test_restricted_weighted_dimensions_s3():
     assert op.matrix.shape == (6, 6)  # 1 + 1 + 2^2 on both sides
     assert len(op.codomain_basis) == weighted_size(AS3.ring, op.window)
     assert len(op.domain_basis) == weighted_size(AS3.ring, op.interior)
+
+
+# ---------------------------------------------------------------------------
+# group-ring assembly against products of basis elements
+
+def reference_operator(T, F, side, S):
+    """Domain basis, codomain basis and entries of the restricted operator,
+    built from algebra.multiply on every basis element of the interior."""
+    algebra = T.algebra
+    ring = algebra.ring
+    interior = boundary_decomposition(ring, F, S, side=side).interior
+    dom = tuple((comp, g, 1, 1) for comp in range(T.n) for g in ring.sorted_labels(interior))
+    cod = tuple((comp, g, 1, 1) for comp in range(T.n) for g in ring.sorted_labels(F))
+    row_of = {key: r for r, key in enumerate(cod)}
+    entries = {}
+    for col, (comp, g, _, _) in enumerate(dom):
+        x = algebra.basis(g)
+        for k in range(T.n):
+            t = T.entries[comp][k] if side == "right" else T.entries[k][comp]
+            prod = algebra.multiply(x, t) if side == "right" else algebra.multiply(t, x)
+            for (h, i, j), c in prod.terms():
+                r = row_of[(k, h, i, j)]
+                entries[(r, col)] = entries.get((r, col), QQi(0)) + c
+    return dom, cod, {key: v for key, v in entries.items() if v}
+
+
+GROUP_CASES = [
+    ("group:Z^2", [(1, 0), (0, 1)], 3),
+    ("group:Z/6xZ/2", [(1, 0), (0, 1)], 2),
+    ("group:heisenberg", [(1, 0, 0), (0, 1, 0)], 2),
+    ("group:heisenberg/3", [(1, 0, 0), (0, 1, 0)], 2),
+]
+
+
+@pytest.mark.parametrize("tag,gens,radius", GROUP_CASES)
+def test_group_assembly_matches_basis_products(tag, gens, radius, rng):
+    algebra = algebra_for(tag)
+    ring = algebra.ring
+    F = ball(ring, gens, radius)
+    pool = [ring.unit] + list(gens)
+    extra = ring.conj(gens[0])
+    for n in (1, 2):
+        entries = [[small_support(algebra, rng, gens) for _ in range(n)] for _ in range(n)]
+        if n == 2:
+            entries[0][1] = algebra.zero()  # a zero block is skipped, not assembled
+        T = MatrixOverPol(algebra, entries)
+        assert T.support() <= frozenset(pool)
+        for S in (None, T.support() | {extra}):
+            for side in ("right", "left"):
+                op = restricted_mult_matrix(T, F, side=side, S=S)
+                dom, cod, want = reference_operator(T, F, side, T.support() if S is None else S)
+                assert op.domain_basis == dom
+                assert op.codomain_basis == cod
+                assert op.matrix.entries == want
+                assert 0 < len(dom) < len(cod)
+
+
+@pytest.mark.parametrize("algebra,F", [(AZ2, ball(AZ2.ring, [(1, 0), (0, 1)], 2)),
+                                       (ASU2, range(4))])
+def test_image_escaping_window_is_internal_error(algebra, F):
+    # a boundary label forged into the interior sends part of its image
+    # outside F; the fusion-inclusion check must catch it on the group and
+    # on the generic path
+    from folnerlab.fusion import BoundaryData
+    from folnerlab.polalg import _restricted_operator
+
+    ring = algebra.ring
+    F = ring.label_set(F)
+    top = ring.sorted_labels(F)[-1]
+    T = MatrixOverPol.from_element(algebra.one() + algebra.basis(top))
+    forged = BoundaryData(interior=F, boundary=(), coboundary=())
+    for side in ("right", "left"):
+        with pytest.raises(RuntimeError, match="fusion inclusion violated"):
+            _restricted_operator(T, F, T.support(), forged, side)
