@@ -1,17 +1,18 @@
 """Exact and floating rank/nullspace kernels shared by every module.
 
 Exact mode works over the Gaussian rationals and is field-exact; float mode
-uses SVD with a relative singular-value threshold. Three exact strategies sit
-behind the one contract:
+uses SVD with a relative singular-value threshold. An exact matrix is routed
+by its shape and by its mod-p rank, never by its size:
 
-* small matrices: dense Gaussian elimination over QQi with leftmost pivot
-  column and largest-entry pivot row (the reference path);
-* large matrices, trivial kernel: a mod-p rank lower bound (numpy elimination
-  over GF(p), p = 1 mod 4 so that i exists). rank_p <= exact rank <= cols,
-  so rank_p == cols certifies nullity 0 exactly;
-* large matrices, nontrivial kernel: the basis is read off a sparse
-  Gauss-Jordan RREF over QQ_I (sympy's DomainMatrix, division-based rather
-  than fraction-free, so coefficients stay small on sparse operators).
+* tall or square (rows >= cols): a mod-p rank lower bound is tried first
+  (numpy elimination over GF(p), p = 1 mod 4 so that i exists).
+  rank_p <= exact rank <= cols, so rank_p == cols certifies nullity 0
+  exactly. A wide matrix always has a kernel, so it skips this step; so does
+  a matrix with a denominator divisible by p, which has no image mod p;
+* otherwise the answer is read off a sparse Gauss-Jordan RREF over QQ_I
+  (sympy's DomainMatrix, division-based rather than fraction-free, so
+  coefficients stay small on sparse operators): the rank is its number of
+  pivots, the kernel basis comes from its free columns.
 
 Every emitted kernel vector is re-verified: M v = 0 exactly, or
 ||M v|| <= tol ||M|| ||v|| in float mode. All paths are deterministic, so
@@ -26,7 +27,6 @@ import numpy as np
 
 from .scalars import EXACT, FLOAT, QQI_ONE, QQI_ZERO, QQi
 
-DENSE_EXACT_LIMIT = 120   # above this edge length, switch strategies
 DEFAULT_FLOAT_TOL = 1e-9
 
 
@@ -115,62 +115,7 @@ def _float_svd(M: ScalarMatrix, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# exact dense reference path
-
-def _dense_rref(M: ScalarMatrix):
-    """Full reduced row echelon form; returns (rows, pivot_cols)."""
-    rows, cols = M.shape
-    data = [[QQI_ZERO] * cols for _ in range(rows)]
-    for (r, c), v in M.entries.items():
-        data[r][c] = v
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        if pr == rows:
-            break
-        best, best_size = -1, None
-        for r in range(pr, rows):
-            v = data[r][pc]
-            if v:
-                s = v.size()
-                if best_size is None or s > best_size:
-                    best, best_size = r, s
-        if best < 0:
-            continue
-        if best != pr:
-            data[pr], data[best] = data[best], data[pr]
-        inv = QQI_ONE / data[pr][pc]
-        data[pr] = [v * inv if v else v for v in data[pr]]
-        for r in range(rows):
-            if r == pr:
-                continue
-            f = data[r][pc]
-            if f:
-                prow = data[pr]
-                data[r] = [v - f * w if w else v for v, w in zip(data[r], prow)]
-        pivots.append(pc)
-        pr += 1
-    return data, pivots
-
-
-def _dense_nullspace(M: ScalarMatrix):
-    rows, cols = M.shape
-    data, pivots = _dense_rref(M)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [QQI_ZERO] * cols
-        v[fc] = QQI_ONE
-        for r, pc in enumerate(pivots):
-            if data[r][fc]:
-                v[pc] = -data[r][fc]
-        basis.append(v)
-    return len(pivots), basis
-
-
-# ---------------------------------------------------------------------------
-# exact modular fast path (rank lower bound certification)
+# exact modular certificate (tall or square matrices with a trivial kernel)
 
 _PRIMES: list[tuple[int, int]] = []  # (p, omega) with omega^2 = -1 mod p
 
@@ -192,15 +137,13 @@ def _primes_1mod4(count: int = 8):
     return _PRIMES[:count]
 
 
-def _modp_matrix(M: ScalarMatrix, p: int, omega: int) -> np.ndarray:
-    """M reduced mod p with i -> omega, entries in [0, p).
+def _modp_matrix(M: ScalarMatrix, p: int, omega: int) -> np.ndarray | None:
+    """M reduced mod p with i -> omega, entries in [0, p); None when p divides
+    a denominator, since such an entry has no image mod p.
 
     Each distinct coefficient is reduced once: an operator shares a few
     coefficient objects among all its entries, so reductions are cached by
-    object (every entry is alive for the whole call, so ids are not reused).
-    A Gaussian rational has an image mod p only when p divides none of its
-    denominators; otherwise the rows are scaled to Gaussian integers first,
-    which keeps the kernel and so the rank bound."""
+    object (every entry is alive for the whole call, so ids are not reused)."""
     reduced: dict[int, int] = {}
     values = []
     for v in M.entries.values():
@@ -208,28 +151,13 @@ def _modp_matrix(M: ScalarMatrix, p: int, omega: int) -> np.ndarray:
         if x is None:
             re, im = v.re, v.im
             if not (re.denominator % p and im.denominator % p):
-                return _scaled_modp_matrix(M, p, omega)
+                return None
             x = reduced[id(v)] = (re.numerator * pow(re.denominator, -1, p)
                                   + omega * im.numerator * pow(im.denominator, -1, p)) % p
         values.append(x)
     A = np.zeros(M.shape, dtype=np.int64)
     if values:
         A[tuple(np.array(list(M.entries), dtype=np.intp).T)] = values
-    return A
-
-
-def _scaled_modp_matrix(M: ScalarMatrix, p: int, omega: int) -> np.ndarray:
-    """_modp_matrix when p divides a denominator: clear denominators row by
-    row (kernel-preserving), then reduce the Gaussian integers mod p."""
-    from math import lcm
-
-    denom: dict[int, int] = {}
-    for (r, _), v in M.entries.items():
-        denom[r] = lcm(denom.get(r, 1), v.re.denominator, v.im.denominator)
-    A = np.zeros(M.shape, dtype=np.int64)
-    for (r, c), v in M.entries.items():
-        d = denom[r]
-        A[r, c] = (int(v.re * d) + int(v.im * d) * omega) % p
     return A
 
 
@@ -261,8 +189,18 @@ def _modp_rank(A: np.ndarray, p: int) -> int:
     return pr
 
 
+def _certified_full_rank(M: ScalarMatrix) -> bool:
+    """True when a mod-p rank proves nullity 0; tried only where it can."""
+    rows, cols = M.shape
+    if rows < cols:
+        return False  # a wide matrix always has a kernel
+    p, omega = _primes_1mod4(1)[0]
+    A = _modp_matrix(M, p, omega)
+    return A is not None and _modp_rank(A, p) == cols  # rank_p <= rank <= cols
+
+
 # ---------------------------------------------------------------------------
-# exact sympy path (large matrices with nontrivial kernel)
+# exact Gauss-Jordan path (everything the certificate does not settle)
 
 def _to_domain_matrix(M: ScalarMatrix):
     from sympy import QQ, QQ_I
@@ -288,7 +226,7 @@ def _sympy_rref(M: ScalarMatrix):
     # instead, whose coefficients grow very large: 84.6 s against 0.08 s
     # on a 593x670 Heisenberg Ore operator. Calling .nullspace() on the GJ
     # result would run that elimination again, so the basis is read straight
-    # off the RREF, which is unique and so gives the same canonical basis.
+    # off the RREF, which is unique, so the basis is canonical.
     return _to_domain_matrix(M).rref(method="GJ")
 
 
@@ -322,12 +260,8 @@ def rank_nullity(M: ScalarMatrix, tol: float | None = None) -> tuple[int, int]:
         return rank, cols - rank
     if rows == 0 or cols == 0 or not M.entries:
         return 0, cols
-    if max(rows, cols) <= DENSE_EXACT_LIMIT:
-        rank, _ = _dense_nullspace(M)
-        return rank, cols - rank
-    p, omega = _primes_1mod4(1)[0]
-    if _modp_rank(_modp_matrix(M, p, omega), p) == cols:
-        return cols, 0  # mod-p rank is a lower bound, so this is exact
+    if _certified_full_rank(M):
+        return cols, 0
     _, pivots = _sympy_rref(M)
     return len(pivots), cols - len(pivots)
 
@@ -356,15 +290,10 @@ def nullspace_basis(M: ScalarMatrix, tol: float | None = None) -> list:
             v[c] = QQI_ONE
             basis.append(v)
         return basis
-    if max(rows, cols) <= DENSE_EXACT_LIMIT:
-        _, basis = _dense_nullspace(M)
-    else:
-        p, omega = _primes_1mod4(1)[0]
-        if _modp_rank(_modp_matrix(M, p, omega), p) == cols:
-            return []
-        basis = _sympy_nullspace(M)
+    if _certified_full_rank(M):
+        return []
     out = []
-    for v in basis:
+    for v in _sympy_nullspace(M):
         lead = next(x for x in v if x)
         v = [x / lead if x else x for x in v]
         if any(M.matvec(v)):

@@ -92,10 +92,6 @@ class QQi:
             return f"QQi({self.re})"
         return f"QQi({self.re}, {self.im})"
 
-    def size(self) -> Fraction:
-        """|re| + |im|; the deterministic pivot-size measure."""
-        return abs(self.re) + abs(self.im)
-
 
 def _coerce(x) -> QQi:
     if isinstance(x, QQi):
