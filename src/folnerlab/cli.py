@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .folner import FolnerCertificate, folner_search, isoperimetric_profile
-from .fusion import ball, check_axioms, conjugation_closure, ring_from_tag
+from .fusion import ball, check_axioms, ring_from_tag
 from .polalg import AlgebraError, MatrixOverPol
 from .reldim import kernel_dim_estimate
 from .serialize import (SchemaError, canonical_dumps, element_to_json,
@@ -72,7 +72,7 @@ def _load_matrix(path: str, ring_tag: str | None) -> MatrixOverPol:
 
 def _window_from_radius(T: MatrixOverPol, radius: int) -> frozenset:
     ring = T.algebra.ring
-    return conjugation_closure(ring, ball(ring, T.support(), radius))
+    return ball(ring, T.support(), radius)
 
 
 def _emit(payload: dict, out_path: str | None) -> None:

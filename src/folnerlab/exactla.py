@@ -2,13 +2,21 @@
 
 Exact mode works over the Gaussian rationals and is field-exact; float mode
 uses SVD with a relative singular-value threshold. An exact matrix is routed
-by its shape and by its mod-p rank, never by its size:
+by its shape, its leading rows and its mod-p rank, never by its size:
 
-* tall or square (rows >= cols): a mod-p rank lower bound is tried first
-  (numpy elimination over GF(p), p = 1 mod 4 so that i exists).
-  rank_p <= exact rank <= cols, so rank_p == cols certifies nullity 0
-  exactly. A wide matrix always has a kernel, so it skips this step; so does
-  a matrix with a denominator divisible by p, which has no image mod p;
+* tall or square (rows >= cols): nullity 0 is certified first without
+  arithmetic. Take each column's leading row, the smallest row index holding
+  a nonzero entry. If every column is nonzero and these leading rows are
+  pairwise distinct, then, ordered by leading row, the columns and their
+  leading rows form a square lower-triangular submatrix with a nonzero
+  diagonal, so the columns are independent over any field. Group-ring
+  operators on Z^d and Heisenberg windows list rows and columns in sorted
+  label order, which translation preserves, so an injective one passes this
+  check. Otherwise a mod-p rank lower bound is tried (numpy elimination over
+  GF(p), p = 1 mod 4 so that i exists): rank_p <= exact rank <= cols, so
+  rank_p == cols certifies nullity 0 exactly. A wide matrix always has a
+  kernel, so it skips both; a matrix with a denominator divisible by p has
+  no image mod p and skips the mod-p step;
 * otherwise the answer is read off a sparse Gauss-Jordan RREF over QQ_I
   (sympy's DomainMatrix, division-based rather than fraction-free, so
   coefficients stay small on sparse operators): the rank is its number of
@@ -115,7 +123,7 @@ def _float_svd(M: ScalarMatrix, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# exact modular certificate (tall or square matrices with a trivial kernel)
+# certificates of a trivial kernel (tall or square): leading rows, then mod p
 
 _PRIMES: list[tuple[int, int]] = []  # (p, omega) with omega^2 = -1 mod p
 
@@ -189,12 +197,31 @@ def _modp_rank(A: np.ndarray, p: int) -> int:
     return pr
 
 
+def _distinct_leading_rows(M: ScalarMatrix) -> bool:
+    """True when every column has a nonzero entry and the columns' leading
+    rows (smallest row index with a nonzero entry) are pairwise distinct.
+
+    Then nullity is 0 over any field: ordered by leading row, the columns and
+    their leading rows form a square lower-triangular submatrix with a
+    nonzero diagonal. No arithmetic, O(nnz)."""
+    rows, cols = M.shape
+    lead: dict[int, int] = {}
+    for (r, c), v in M.entries.items():
+        if v and r < lead.get(c, rows):
+            lead[c] = r
+    return len(lead) == cols and len(set(lead.values())) == cols
+
+
 def _certified_full_rank(M: ScalarMatrix) -> bool:
-    """True when a mod-p rank proves nullity 0; tried only where it can."""
+    """True when distinct leading rows or a mod-p rank prove nullity 0;
+    tried only where it can."""
     rows, cols = M.shape
     if rows < cols:
         return False  # a wide matrix always has a kernel
+    # fetched first, so the first tall rank loads sympy whichever way it goes
     p, omega = _primes_1mod4(1)[0]
+    if _distinct_leading_rows(M):
+        return True
     A = _modp_matrix(M, p, omega)
     return A is not None and _modp_rank(A, p) == cols  # rank_p <= rank <= cols
 

@@ -104,8 +104,7 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
         raise ValueError("S must be non-empty")
     strategy = "ball" if windows is None else "user"
     if windows is None:
-        candidates = ((k, conjugation_closure(ring, ball(ring, S, k)))
-                      for k in range(max_radius + 1))
+        candidates = ((k, ball(ring, S, k)) for k in range(max_radius + 1))
     else:
         candidates = ((k, conjugation_closure(ring, ring.label_set(W)))
                       for k, W in enumerate(windows))
@@ -146,9 +145,7 @@ def isoperimetric_profile(ring: FusionRing, S, max_radius: int) -> list[ProfileR
     S = ring.label_set(S)
     if not S:
         raise ValueError("S must be non-empty")
-    ball(ring, S, max_radius)  # fill the cache sequentially
-    windows = [(k, conjugation_closure(ring, ball(ring, S, k)))
-               for k in range(max_radius + 1)]
+    windows = [(k, ball(ring, S, k)) for k in range(max_radius + 1)]
     return map_ordered(lambda kw: _profile_row(ring, kw[1], S, kw[0]), windows)
 
 

@@ -41,3 +41,22 @@ def small_support(algebra, rng, gens, max_terms=3):
     """Random element supported on {e} and the given generators."""
     labels = [algebra.ring.unit] + list(gens)
     return random_element(algebra, rng, labels, max_terms=max_terms)
+
+
+def domain_matrix(M):
+    """An exact ScalarMatrix as a sympy DomainMatrix over QQ_I."""
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    data = {}
+    for (r, c), v in M.entries.items():
+        data.setdefault(r, {})[c] = QQ_I.new(QQ(v.re.numerator, v.re.denominator),
+                                             QQ(v.im.numerator, v.im.denominator))
+    return DomainMatrix(data, M.shape, QQ_I)
+
+
+def fraction_free_rank(M):
+    """Rank of an exact ScalarMatrix by sympy's fraction-free elimination
+    (rref_den), independent of the Gauss-Jordan RREF and the certificates."""
+    _, _, pivots = domain_matrix(M).rref_den()
+    return len(pivots)

@@ -1,9 +1,10 @@
 """Rank/nullspace kernels: the exact routes and the float path.
 
-Exact matrices take one of two routes: tall or square ones try a mod-p rank
-certificate of a trivial kernel, and everything else is read off a
-Gauss-Jordan RREF over QQ_I. The references here are independent of both:
-sympy's fraction-free elimination and a float SVD of the complex cast.
+Exact matrices take one of two routes: tall or square ones try to certify a
+trivial kernel, first from pairwise distinct leading rows and then by a mod-p
+rank, and everything else is read off a Gauss-Jordan RREF over QQ_I. The
+references here are independent of both: sympy's fraction-free elimination
+and a float SVD of the complex cast.
 """
 
 from fractions import Fraction
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 import folnerlab.exactla as exactla
 from folnerlab.exactla import ScalarMatrix, nullspace_basis, rank_nullity
 from folnerlab.scalars import EXACT, FLOAT, QQi
+
+from conftest import domain_matrix, fraction_free_rank
 
 
 def exact_matrix(rows):
@@ -118,7 +121,7 @@ def test_gauss_jordan_kernel_agrees_with_fraction_free(rng):
     gauss[19] = [a + QQi(0, 1) * b for a, b in zip(gauss[0], gauss[1])]
     matrices = [exact_matrix(cols), exact_matrix(gauss)]
     for M in matrices:
-        want_rank, want_basis = _fraction_free_rank(M), _fraction_free_kernel(M)
+        want_rank, want_basis = fraction_free_rank(M), _fraction_free_kernel(M)
         got_basis = nullspace_basis(M)
         assert rank_nullity(M) == (want_rank, M.shape[1] - want_rank)
         assert len(got_basis) == len(want_basis)
@@ -197,32 +200,14 @@ def _banded_gaussian(rng, rows, cols):
     return entries
 
 
-def _domain_matrix(M):
-    from sympy import QQ, QQ_I
-    from sympy.polys.matrices import DomainMatrix
-
-    data = {}
-    for (r, c), v in M.entries.items():
-        data.setdefault(r, {})[c] = QQ_I.new(QQ(v.re.numerator, v.re.denominator),
-                                             QQ(v.im.numerator, v.im.denominator))
-    return DomainMatrix(data, M.shape, QQ_I)
-
-
 def _sympy_rank(M):
-    return _domain_matrix(M).rank()
-
-
-def _fraction_free_rank(M):
-    # rref_den eliminates fraction-free over QQ_I, unlike rank() and the
-    # Gauss-Jordan RREF under test
-    _, _, pivots = _domain_matrix(M).rref_den()
-    return len(pivots)
+    return domain_matrix(M).rank()
 
 
 def _fraction_free_kernel(M):
     """sympy's fraction-free nullspace, each vector scaled to leading entry 1."""
     basis = []
-    for row in _domain_matrix(M).nullspace().to_list():
+    for row in domain_matrix(M).nullspace().to_list():
         v = [QQi(Fraction(int(g.x.numerator), int(g.x.denominator)),
                  Fraction(int(g.y.numerator), int(g.y.denominator))) for g in row]
         lead = next(x for x in v if x)
@@ -305,12 +290,17 @@ def test_route_depends_on_shape_and_modp_rank(monkeypatch):
     assert nullspace_basis(wide) == want
     assert modp == []
     assert len(rref) == 4
-    # a tall full-column-rank matrix is certified mod p, with no RREF
-    tall = _bidiagonal()
-    assert rank_nullity(tall) == (4, 0)
-    assert nullspace_basis(tall) == []
+    # tall with distinct leading rows: certified with no arithmetic at all
+    for tall in (_bidiagonal(), exact_matrix([[1, 0], [0, 1], [1, 1]])):
+        assert rank_nullity(tall) == (tall.shape[1], 0)
+        assert nullspace_basis(tall) == []
+    assert modp == [] and len(rref) == 4
+    # full column rank, but both columns lead in row 0: certified mod p
+    shared = exact_matrix([[1, 1], [1, 2], [0, 0]])
+    assert rank_nullity(shared) == (2, 0)
+    assert nullspace_basis(shared) == []
     assert len(modp) == 2 and len(rref) == 4
-    # a square matrix with a kernel tries the certificate, then the RREF
+    # a square matrix with a kernel tries both certificates, then the RREF
     square = exact_matrix([[1, 1], [1, 1]])
     assert rank_nullity(square) == (1, 1)
     assert len(modp) == 3 and len(rref) == 5
@@ -349,8 +339,78 @@ def _planted_matrices(draw):
 def test_exact_routes_agree_with_independent_references(rows):
     M = exact_matrix(rows)
     cols = M.shape[1]
-    rank = _fraction_free_rank(M)
+    rank = fraction_free_rank(M)
     cast = np.array([[complex(x) for x in row] for row in rows])
     assert int(np.linalg.matrix_rank(cast)) == rank
     assert rank_nullity(M) == (rank, cols - rank)
     assert nullspace_basis(M) == _fraction_free_kernel(M)
+
+
+# ---------------------------------------------------------------------------
+# the leading-row certificate
+
+@pytest.mark.parametrize("entries,shape,rank", [
+    # column 2 is zero; columns 0 and 1 lead in distinct rows
+    ({(0, 0): QQi(1), (1, 1): QQi(2), (2, 0): QQi(0, 1)}, (3, 3), 2),
+    # a stored zero is not a leading entry: both columns lead in row 1
+    ({(0, 0): QQi(0), (1, 0): QQi(1), (1, 1): QQi(1), (2, 1): QQi(3)}, (3, 2), 2),
+    # both columns lead in row 0 and are proportional
+    ({(0, 0): QQi(1), (0, 1): QQi(0, 1), (2, 0): QQi(2), (2, 1): QQi(0, 2)}, (3, 2), 1),
+    # singular square, stored so that the first entry met in each column
+    # sits in a different row
+    ({(0, 0): QQi(1), (1, 1): QQi(1), (0, 1): QQi(1), (1, 0): QQi(1)}, (2, 2), 1),
+])
+def test_leading_row_certificate_rejects(entries, shape, rank):
+    M = ScalarMatrix(EXACT, shape, entries=entries)
+    assert not exactla._distinct_leading_rows(M)
+    assert rank_nullity(M) == (rank, shape[1] - rank)
+
+
+_NONZERO_GAUSSIAN = _GAUSSIAN_INTEGERS.filter(bool)
+_SPARSE_GAUSSIAN = st.one_of(st.just(QQi(0)), st.just(QQi(0)), _GAUSSIAN_INTEGERS)
+
+
+@st.composite
+def _leading_row_matrices(draw):
+    """Tall or square sparse Gaussian-integer matrices up to 6x6, built with
+    pairwise distinct leading rows (zeros above a nonzero entry, anything
+    below), then sometimes spoiled: a column zeroed, or one column moved to
+    lead in another's leading row."""
+    n_cols = draw(st.integers(1, 6))
+    n_rows = draw(st.integers(n_cols, 6))
+    leads = draw(st.permutations(range(n_rows)))[:n_cols]
+    rows = [[QQi(0)] * n_cols for _ in range(n_rows)]
+    for c, lead in enumerate(leads):
+        rows[lead][c] = draw(_NONZERO_GAUSSIAN)
+        for r in range(lead + 1, n_rows):
+            rows[r][c] = draw(_SPARSE_GAUSSIAN)
+    spoils = ["none", "zero column"] + (["shared leading row"] if n_cols > 1 else [])
+    spoil = draw(st.sampled_from(spoils))
+    if spoil == "zero column":
+        c = draw(st.integers(0, n_cols - 1))
+        for row in rows:
+            row[c] = QQi(0)
+    elif spoil == "shared leading row":
+        a, b = draw(st.permutations(range(n_cols)))[:2]
+        for r in range(leads[a]):
+            rows[r][b] = QQi(0)
+        rows[leads[a]][b] = draw(_NONZERO_GAUSSIAN)
+        if draw(st.booleans()):  # b a multiple of a: a kernel
+            scale = draw(_NONZERO_GAUSSIAN)
+            for row in rows:
+                row[b] = scale * row[a]
+    return rows, spoil == "none"
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_leading_row_matrices())
+def test_leading_row_certificate_is_sound(drawn):
+    rows, distinct = drawn
+    M = exact_matrix(rows)
+    cols = M.shape[1]
+    rank = fraction_free_rank(M)
+    certified = exactla._distinct_leading_rows(M)
+    assert certified == distinct
+    if certified:
+        assert rank == cols
+    assert rank_nullity(M) == (rank, cols - rank)

@@ -251,11 +251,15 @@ def test_ball_monotone():
 
 
 def test_ball_is_conjugation_closed():
-    for ring, S in [(SU2, [2]), (Z, [1]), (HEIS, [(1, 0, 0)]),
-                    (ZXZ2, [(1, 0), (0, 1)])]:
-        for r in range(4):
+    # folner_search, isoperimetric_profile and the CLI use balls as windows
+    # without closing them under conjugation again
+    for ring, S in [(SU2, [2]), (SU2, [1, 3]), (Z, [1]), (HEIS, [(1, 0, 0)]),
+                    (HEIS, [(1, 0, 0), (0, 1, 1)]), (ZXZ2, [(1, 0), (0, 1)]),
+                    (Z2, [(1, 0), (1, 1)]), (Z6, [1]), (S3, ["std"]), (S3, ["sgn"])]:
+        for r in range(5):
             B = ball(ring, S, r)
             assert conjugate_set(ring, B) == B
+            assert conjugation_closure(ring, B) == B
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from folnerlab import (AlgebraError, MatrixOverPol, algebra_for,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from folnerlab import (AlgebraError, MatrixOverPol, algebra_for, ball,
                        exact_mvn_dim_finite, kernel_dim_estimate,
-                       relative_dimension)
+                       relative_dimension, restricted_mult_matrix)
 from folnerlab.polalg import _basis_triples
 
-from conftest import random_element
+from conftest import fraction_free_rank, random_element
 
 AZ = algebra_for("group:Z")
 AZ2 = algebra_for("group:Z^2")
 AZMOD2 = algebra_for("group:Z/2")
 AZ6 = algebra_for("group:Z/6")
 AS3 = algebra_for("finite:S3")
+AHEIS = algebra_for("group:heisenberg")
 
 
 def box2(N):
@@ -209,3 +213,54 @@ def test_estimate_interval_identity(rng):
     for N in (3, 6):
         est = kernel_dim_estimate(MatrixOverPol.from_element(a), range(-N, N + 1))
         assert est.upper - est.lower == est.n * est.boundary_ratio
+
+
+# ---------------------------------------------------------------------------
+# the exact rank of a group-ring estimate against independent references
+
+_GENS = {"group:Z^2": [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)],
+         "group:heisenberg": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                              (1, 1, 0), (0, 0, 1)]}
+_COEFFS = st.tuples(st.fractions(-9, 9, max_denominator=3), st.integers(-3, 3))
+
+
+@st.composite
+def _group_ring_cases(draw, algebra, rank_one):
+    """A Z^2 box with N <= 5 or a Heisenberg ball with radius <= 3, a side,
+    and T = (a), or T = [[a, b], [a, b]] (a kernel on the right), for random
+    a, b supported on the unit and a few generators."""
+    gens = _GENS[algebra.tag]
+    if algebra is AHEIS:
+        window = ball(algebra.ring, gens[:4], draw(st.integers(1, 3)))
+    else:
+        # the fraction-free reference is the slow part on a rank-one T
+        N = draw(st.integers(1, 4 if rank_one else 5))
+        window = [(i, j) for i in range(-N, N + 1) for j in range(-N, N + 1)]
+    labels = st.sampled_from([algebra.ring.unit] + gens)
+
+    def element():
+        terms = draw(st.dictionaries(labels, _COEFFS, min_size=1, max_size=4)
+                     .filter(lambda t: any(re or im for re, im in t.values())))
+        return algebra.element(terms)
+
+    a = element()
+    T = MatrixOverPol(algebra, [[a, element()]] * 2) if rank_one \
+        else MatrixOverPol.from_element(a)
+    return T, window, draw(st.sampled_from(("left", "right")))
+
+
+@pytest.mark.parametrize("rank_one", [False, True])
+@pytest.mark.parametrize("algebra", [AZ2, AHEIS], ids=["Z^2", "heisenberg"])
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_group_ring_rank_agrees_with_fraction_free_and_svd(algebra, rank_one, data):
+    T, window, side = data.draw(_group_ring_cases(algebra, rank_one))
+    est = kernel_dim_estimate(T, window, side=side)
+    if est.degenerate:
+        return
+    M = restricted_mult_matrix(T, window, side=side).matrix
+    cast = np.zeros(M.shape, dtype=complex)
+    for (r, c), v in M.entries.items():
+        cast[r, c] = complex(v)
+    assert est.rank == fraction_free_rank(M) == int(np.linalg.matrix_rank(cast))
+    assert est.nullity == M.shape[1] - est.rank
