@@ -2,21 +2,17 @@
 
 Exact mode works over the Gaussian rationals and is field-exact; float mode
 uses SVD with a relative singular-value threshold. An exact matrix is routed
-by its shape, its leading rows and its mod-p rank, never by its size:
+by its shape and its leading rows, never by its size:
 
-* tall or square (rows >= cols): nullity 0 is certified first without
-  arithmetic. Take each column's leading row, the smallest row index holding
-  a nonzero entry. If every column is nonzero and these leading rows are
-  pairwise distinct, then, ordered by leading row, the columns and their
-  leading rows form a square lower-triangular submatrix with a nonzero
-  diagonal, so the columns are independent over any field. Group-ring
-  operators on Z^d and Heisenberg windows list rows and columns in sorted
-  label order, which translation preserves, so an injective one passes this
-  check. Otherwise a mod-p rank lower bound is tried (numpy elimination over
-  GF(p), p = 1 mod 4 so that i exists): rank_p <= exact rank <= cols, so
-  rank_p == cols certifies nullity 0 exactly. A wide matrix always has a
-  kernel, so it skips both; a matrix with a denominator divisible by p has
-  no image mod p and skips the mod-p step;
+* tall or square (rows >= cols): nullity 0 is certified without arithmetic.
+  Take each column's leading row, the smallest row index holding a nonzero
+  entry. If every column is nonzero and these leading rows are pairwise
+  distinct, then, ordered by leading row, the columns and their leading rows
+  form a square lower-triangular submatrix with a nonzero diagonal, so the
+  columns are independent over any field. Group-ring operators on Z^d and
+  Heisenberg windows list rows and columns in sorted label order, which
+  translation preserves, so an injective one passes this check. A wide
+  matrix always has a kernel, so it skips the check;
 * otherwise the answer is read off a sparse Gauss-Jordan RREF over QQ_I
   (sympy's DomainMatrix, division-based rather than fraction-free, so
   coefficients stay small on sparse operators): the rank is its number of
@@ -123,79 +119,7 @@ def _float_svd(M: ScalarMatrix, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# certificates of a trivial kernel (tall or square): leading rows, then mod p
-
-_PRIMES: list[tuple[int, int]] = []  # (p, omega) with omega^2 = -1 mod p
-
-
-def _primes_1mod4(count: int = 8):
-    if len(_PRIMES) >= count:
-        return _PRIMES[:count]
-    import sympy
-
-    p = 2 ** 31 if not _PRIMES else _PRIMES[-1][0]
-    while len(_PRIMES) < count:
-        p = sympy.prevprime(p)
-        if p % 4 != 1:
-            continue
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        _PRIMES.append((p, pow(z, (p - 1) // 4, p)))
-    return _PRIMES[:count]
-
-
-def _modp_matrix(M: ScalarMatrix, p: int, omega: int) -> np.ndarray | None:
-    """M reduced mod p with i -> omega, entries in [0, p); None when p divides
-    a denominator, since such an entry has no image mod p.
-
-    Each distinct coefficient is reduced once: an operator shares a few
-    coefficient objects among all its entries, so reductions are cached by
-    object (every entry is alive for the whole call, so ids are not reused)."""
-    reduced: dict[int, int] = {}
-    values = []
-    for v in M.entries.values():
-        x = reduced.get(id(v))
-        if x is None:
-            re, im = v.re, v.im
-            if not (re.denominator % p and im.denominator % p):
-                return None
-            x = reduced[id(v)] = (re.numerator * pow(re.denominator, -1, p)
-                                  + omega * im.numerator * pow(im.denominator, -1, p)) % p
-        values.append(x)
-    A = np.zeros(M.shape, dtype=np.int64)
-    if values:
-        A[tuple(np.array(list(M.entries), dtype=np.intp).T)] = values
-    return A
-
-
-def _modp_rank(A: np.ndarray, p: int) -> int:
-    """In-place row echelon over GF(p), entries in [0, p); touches only rows
-    that need work."""
-    rows, cols = A.shape
-    pr = 0
-    for pc in range(cols):
-        if pr == rows:
-            break
-        col = A[pr:, pc]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        r = pr + int(nz[0])
-        if r != pr:
-            A[[pr, r]] = A[[r, pr]]
-        inv = pow(int(A[pr, pc]), p - 2, p)
-        nzc = np.nonzero(A[pr])[0]
-        last = int(nzc[-1]) + 1
-        A[pr, pc:last] = (A[pr, pc:last] * inv) % p
-        below = np.nonzero(A[pr + 1:, pc])[0]
-        if below.size:
-            rs = below + pr + 1
-            f = A[rs, pc:pc + 1]
-            A[rs, pc:last] = (A[rs, pc:last] - f * A[pr, pc:last]) % p
-        pr += 1
-    return pr
-
+# certificate of a trivial kernel (tall or square): distinct leading rows
 
 def _distinct_leading_rows(M: ScalarMatrix) -> bool:
     """True when every column has a nonzero entry and the columns' leading
@@ -213,17 +137,10 @@ def _distinct_leading_rows(M: ScalarMatrix) -> bool:
 
 
 def _certified_full_rank(M: ScalarMatrix) -> bool:
-    """True when distinct leading rows or a mod-p rank prove nullity 0;
-    tried only where it can."""
+    """True when distinct leading rows prove nullity 0; a wide matrix always
+    has a kernel, so it is never certified."""
     rows, cols = M.shape
-    if rows < cols:
-        return False  # a wide matrix always has a kernel
-    # fetched first, so the first tall rank loads sympy whichever way it goes
-    p, omega = _primes_1mod4(1)[0]
-    if _distinct_leading_rows(M):
-        return True
-    A = _modp_matrix(M, p, omega)
-    return A is not None and _modp_rank(A, p) == cols  # rank_p <= rank <= cols
+    return rows >= cols and _distinct_leading_rows(M)
 
 
 # ---------------------------------------------------------------------------

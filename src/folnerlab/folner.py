@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .fusion import (FusionRing, _weight, ball, boundary_decomposition,
                      conjugation_closure)
-from .util import map_ordered
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,7 @@ def isoperimetric_profile(ring: FusionRing, S, max_radius: int) -> list[ProfileR
     S = ring.label_set(S)
     if not S:
         raise ValueError("S must be non-empty")
-    windows = [(k, ball(ring, S, k)) for k in range(max_radius + 1)]
-    return map_ordered(lambda kw: _profile_row(ring, kw[1], S, kw[0]), windows)
+    return [_profile_row(ring, ball(ring, S, k), S, k) for k in range(max_radius + 1)]
 
 
 # ---------------------------------------------------------------------------

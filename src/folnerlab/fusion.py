@@ -28,8 +28,8 @@ Labels are checked once, where they enter a public function; the inner
 loops then run on the trusted surface (``_dim``, ``_conj``, ``_support``),
 which assumes canonical labels and validates nothing.
 
-Rings are immutable after construction; the ball/product caches are pure
-and only ever grow, so concurrent readers are safe.
+Rings are immutable after construction; the ball cache is pure and only
+ever grows.
 """
 
 from __future__ import annotations
@@ -332,11 +332,8 @@ def ball(ring: FusionRing, S: Iterable, radius: int) -> frozenset:
         raise ValueError("radius must be >= 0")
     S = ring.label_set(S)
     key = ring.sorted_labels(S)
-    balls = ring._ball_cache.get(key)
-    if balls is None or len(balls) <= radius:
-        # grow a local copy, then publish atomically: racing readers either
-        # see the old list or an extension of it, never a partial update
-        balls = list(balls) if balls is not None else [frozenset({ring.unit})]
+    balls = ring._ball_cache.setdefault(key, [frozenset({ring.unit})])
+    if len(balls) <= radius:
         gens = ring.sorted_labels(conjugation_closure(ring, S) - {ring.unit})
         while len(balls) <= radius:
             prev = balls[-1]
@@ -346,7 +343,6 @@ def ball(ring: FusionRing, S: Iterable, radius: int) -> frozenset:
                 for v in gens:
                     new.update(ring._support(u, v))
             balls.append(prev | new)
-        ring._ball_cache[key] = balls
     return balls[radius]
 
 

@@ -28,7 +28,6 @@ from .groups import CyclicProductGroup, HeisenbergGroup
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, algebra_for)
 from .reldim import (DimensionEstimate, _estimate, _require_conj_closed,
                      exact_mvn_dim_finite)
-from .util import map_ordered
 
 
 class QuotientMap:
@@ -296,8 +295,7 @@ def tower_kernel_dims(T: MatrixOverPol, tower: QuotientTower, F,
                            boundary_pushforward_ok=bd_ok, weighted_sizes_ok=sizes_ok,
                            transport_ok=transport_ok, transport_gap=gap)
 
-    levels = map_ordered(level, tower.maps)
     return TowerReport(ring=ring.tag, window=ring.sorted_labels(F),
                        omega=ring.sorted_labels(omega),
                        source_estimate=estimate, transport_bound=bound,
-                       levels=tuple(levels))
+                       levels=tuple(level(qmap) for qmap in tower.maps))

@@ -1,10 +1,10 @@
 """Rank/nullspace kernels: the exact routes and the float path.
 
 Exact matrices take one of two routes: tall or square ones try to certify a
-trivial kernel, first from pairwise distinct leading rows and then by a mod-p
-rank, and everything else is read off a Gauss-Jordan RREF over QQ_I. The
-references here are independent of both: sympy's fraction-free elimination
-and a float SVD of the complex cast.
+trivial kernel from pairwise distinct leading rows, and everything else is
+read off a Gauss-Jordan RREF over QQ_I. The references here are independent
+of both: sympy's fraction-free elimination and a float SVD of the complex
+cast.
 """
 
 from fractions import Fraction
@@ -228,11 +228,10 @@ def _spy(monkeypatch, name):
     return calls
 
 
-def test_modp_reduction_agrees_with_sympy_rank(monkeypatch, rng):
+def test_banded_gaussian_rank_agrees_with_sympy_rank(rng):
     rows, cols = 140, 130
     full = _banded_gaussian(rng, rows, cols)
-    # the same matrix with two planted column dependencies, so the mod-p
-    # rank falls short and the rank comes from the RREF pivots
+    # the same matrix with two planted column dependencies
     dependent = dict(full)
     for c in (7, 90):
         for r in range(rows):
@@ -240,32 +239,11 @@ def test_modp_reduction_agrees_with_sympy_rank(monkeypatch, rng):
         for (r, k), v in full.items():
             if k == c - 1:
                 dependent[(r, c)] = v * QQi(Fraction(2, 3), 1)
-    modp = _spy(monkeypatch, "_modp_matrix")
-    rref = _spy(monkeypatch, "_sympy_rref")
-    for entries, nullity, rrefs in ((full, 0, 0), (dependent, 2, 1)):
+    for entries, nullity in ((full, 0), (dependent, 2)):
         M = ScalarMatrix.from_entries(entries, (rows, cols), EXACT)
         want = _sympy_rank(M)
         assert want == cols - nullity
         assert rank_nullity(M) == (want, cols - want)
-        assert len(rref) == rrefs  # full rank is certified mod p alone
-    assert len(modp) == 2
-    assert all(A is not None for A in modp)  # p divides none of these denominators
-
-
-def test_modp_prime_dividing_a_denominator_falls_back(monkeypatch, rng):
-    rows, cols = 140, 130
-    p, _ = exactla._primes_1mod4(1)[0]
-    entries = _banded_gaussian(rng, rows, cols)
-    entries[(3, 3)] = QQi(Fraction(5, p), Fraction(1, 2))
-    entries[(60, 61)] = QQi(Fraction(1, 3), Fraction(-7, 2 * p))
-    M = ScalarMatrix.from_entries(entries, (rows, cols), EXACT)
-    want = _sympy_rank(M)
-    modp = _spy(monkeypatch, "_modp_matrix")
-    rref = _spy(monkeypatch, "_sympy_rref")
-    assert rank_nullity(M) == (want, cols - want)
-    assert modp == [None]  # no image mod p, so no certificate
-    assert len(rref) == 1
-    assert len(nullspace_basis(M)) == cols - want
 
 
 def _shift_matrix(rows, cols, shift, coeff):
@@ -275,8 +253,7 @@ def _shift_matrix(rows, cols, shift, coeff):
     return ScalarMatrix.from_entries(entries, (rows, cols), EXACT)
 
 
-def test_route_depends_on_shape_and_modp_rank(monkeypatch):
-    modp = _spy(monkeypatch, "_modp_matrix")
+def test_route_depends_on_shape_and_leading_rows(monkeypatch):
     rref = _spy(monkeypatch, "_sympy_rref")
     # wide matrices always have a kernel: straight to the RREF
     wide = _shift_matrix(5, 6, 1, QQi(-1))  # v[k] = v[k + 1]
@@ -288,22 +265,21 @@ def test_route_depends_on_shape_and_modp_rank(monkeypatch):
     want = [[powers[j // 2 % 4] if j % 2 == parity else QQi(0) for j in range(12)]
             for parity in (0, 1)]
     assert nullspace_basis(wide) == want
-    assert modp == []
     assert len(rref) == 4
     # tall with distinct leading rows: certified with no arithmetic at all
     for tall in (_bidiagonal(), exact_matrix([[1, 0], [0, 1], [1, 1]])):
         assert rank_nullity(tall) == (tall.shape[1], 0)
         assert nullspace_basis(tall) == []
-    assert modp == [] and len(rref) == 4
-    # full column rank, but both columns lead in row 0: certified mod p
+    assert len(rref) == 4
+    # full column rank, but both columns lead in row 0: the RREF decides
     shared = exact_matrix([[1, 1], [1, 2], [0, 0]])
     assert rank_nullity(shared) == (2, 0)
+    assert len(rref) == 5
     assert nullspace_basis(shared) == []
-    assert len(modp) == 2 and len(rref) == 4
-    # a square matrix with a kernel tries both certificates, then the RREF
+    # a square matrix with a kernel fails the check, then takes the RREF
     square = exact_matrix([[1, 1], [1, 1]])
     assert rank_nullity(square) == (1, 1)
-    assert len(modp) == 3 and len(rref) == 5
+    assert len(rref) == 7
 
 
 _GAUSSIAN_INTEGERS = st.builds(QQi, st.integers(-3, 3), st.integers(-3, 3))

@@ -156,14 +156,3 @@ def test_every_emitted_certificate_revalidates():
         cert = folner_search(ring, S, eps, 64)
         assert isinstance(cert, FolnerCertificate)
         assert verify_certificate(ring, cert)
-
-
-def test_thread_cap_env_does_not_change_results(monkeypatch):
-    rows_seq = isoperimetric_profile(Z, [1, -1], 12)
-    monkeypatch.setenv("FOLNERLAB_THREADS", "4")
-    # fresh call goes through the thread pool; results must be identical
-    rows_par = isoperimetric_profile(Z, [1, -1], 12)
-    assert rows_par == rows_seq
-    monkeypatch.setenv("FOLNERLAB_THREADS", "not-a-number")
-    with pytest.raises(ValueError):
-        isoperimetric_profile(Z, [1, -1], 2)

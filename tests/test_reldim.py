@@ -5,13 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from folnerlab import (AlgebraError, MatrixOverPol, algebra_for, ball,
-                       exact_mvn_dim_finite, kernel_dim_estimate,
+                       exact_mvn_dim_finite, full_mult_matrix, kernel_dim_estimate,
                        relative_dimension, restricted_mult_matrix)
 from folnerlab.polalg import _basis_triples
+from folnerlab.scalars import FLOAT
 
 from conftest import fraction_free_rank, random_element
 
@@ -224,6 +225,16 @@ _GENS = {"group:Z^2": [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)],
 _COEFFS = st.tuples(st.fractions(-9, 9, max_denominator=3), st.integers(-3, 3))
 
 
+def _svd_rank(M):
+    """numpy's SVD rank of a ScalarMatrix, exact entries cast to complex."""
+    if M.mode == FLOAT:
+        return int(np.linalg.matrix_rank(M.array))
+    cast = np.zeros(M.shape, dtype=complex)
+    for (r, c), v in M.entries.items():
+        cast[r, c] = complex(v)
+    return int(np.linalg.matrix_rank(cast))
+
+
 @st.composite
 def _group_ring_cases(draw, algebra, rank_one):
     """A Z^2 box with N <= 5 or a Heisenberg ball with radius <= 3, a side,
@@ -259,8 +270,59 @@ def test_group_ring_rank_agrees_with_fraction_free_and_svd(algebra, rank_one, da
     if est.degenerate:
         return
     M = restricted_mult_matrix(T, window, side=side).matrix
-    cast = np.zeros(M.shape, dtype=complex)
-    for (r, c), v in M.entries.items():
-        cast[r, c] = complex(v)
-    assert est.rank == fraction_free_rank(M) == int(np.linalg.matrix_rank(cast))
+    assert est.rank == fraction_free_rank(M) == _svd_rank(M)
     assert est.nullity == M.shape[1] - est.rank
+
+
+# ---------------------------------------------------------------------------
+# exact_mvn_dim_finite on finite quotients against independent references
+
+_FINITE = {"Z/n": ["group:Z/2", "group:Z/5", "group:Z/6", "group:Z/8"],
+           "Z/m x Z/k": ["group:Z/2xZ/2", "group:Z/3xZ/2", "group:Z/4xZ/3"],
+           "heisenberg/3": ["group:heisenberg/3"],
+           "S3": ["finite:S3"]}
+
+
+@st.composite
+def _finite_cases(draw, tags):
+    """A side and T = (a), (a (1 - g)) with g not the unit (a kernel on group
+    rings: the augmentation vanishes), or [[a, b], [a, b]], over a finite
+    ring, a and b with at most four random terms. Translation wraps around
+    the label order here, so leading rows mostly collide and the rank comes
+    from the RREF."""
+    algebra = algebra_for(draw(st.sampled_from(tags)))
+    ring = algebra.ring
+    triples = st.sampled_from(_basis_triples(ring, ring.irreducibles()))
+
+    def element():
+        terms = draw(st.dictionaries(triples, _COEFFS, min_size=1, max_size=4)
+                     .filter(lambda t: any(re or im for re, im in t.values())))
+        if algebra.mode == FLOAT:
+            terms = {k: complex(re, im) for k, (re, im) in terms.items()}
+        return algebra.element(terms)
+
+    a = element()
+    kind = draw(st.sampled_from(("element", "times 1 - g", "rank one")))
+    if kind == "rank one":
+        T = MatrixOverPol(algebra, [[a, element()]] * 2)
+    else:
+        if kind == "times 1 - g":
+            g = draw(st.sampled_from([u for u in ring.irreducibles() if u != ring.unit]))
+            a = a * (algebra.one() - algebra.basis(g))
+            assume(not a.is_zero())
+        T = MatrixOverPol.from_element(a)
+    return T, draw(st.sampled_from(("left", "right")))
+
+
+@pytest.mark.parametrize("family", list(_FINITE))
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_finite_dim_agrees_with_fraction_free_and_svd(family, data):
+    T, side = data.draw(_finite_cases(_FINITE[family]))
+    ring = T.algebra.ring
+    M = full_mult_matrix(T, side=side).matrix
+    nullity = M.shape[1] - _svd_rank(M)
+    size = sum(ring.dim(u) ** 2 for u in ring.irreducibles())
+    assert exact_mvn_dim_finite(T, side=side) == Fraction(nullity, size)
+    if M.mode != FLOAT:  # S3 is a float ring: numpy's own rank cut-off only
+        assert nullity == M.shape[1] - fraction_free_rank(M)
