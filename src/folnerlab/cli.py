@@ -19,8 +19,8 @@ from .folner import FolnerCertificate, folner_search, isoperimetric_profile
 from .fusion import ball, check_axioms, ring_from_tag
 from .polalg import AlgebraError, MatrixOverPol
 from .reldim import kernel_dim_estimate
-from .serialize import (SchemaError, canonical_dumps, element_to_json,
-                        label_from_json, label_to_json, load_element)
+from .serialize import (SchemaError, canonical_dumps, label_from_json,
+                        label_to_json, load_element)
 from .solvers import OrePair, ZeroDivisorCertificate, ore_pair, zero_divisor_search
 from .tower import group_quotient_tower, tower_kernel_dims
 
@@ -130,16 +130,10 @@ def _run_zero_divisor(args) -> int:
         raise CliError("zero-divisor search expects a single element, not a matrix")
     a = T.entries[0][0]
     result = zero_divisor_search(a, side=args.side, max_radius=args.max_radius)
-    ring = a.algebra.ring
     if isinstance(result, ZeroDivisorCertificate):
-        _emit({"kind": "zero_divisor_certificate", "ring": ring.tag,
-               "side": result.side, "radius": result.radius,
-               "window": [label_to_json(ring, u) for u in result.window],
-               "a": element_to_json(result.a),
-               "witness": element_to_json(result.witness),
-               "verified": result.product_is_zero()}, args.out)
+        _emit({"kind": "zero_divisor_certificate", **result.to_json()}, args.out)
         return OK
-    _emit({"kind": "not_found_report", "ring": ring.tag, **result.to_json()},
+    _emit({"kind": "not_found_report", "ring": a.algebra.tag, **result.to_json()},
           args.out)
     return NEGATIVE
 
@@ -153,21 +147,11 @@ def _run_ore_pair(args) -> int:
         raise CliError("a and s live in different algebras")
     result = ore_pair(Ta.entries[0][0], Ts.entries[0][0],
                       max_radius=args.max_radius, prefer_ore=args.prefer_ore)
-    ring = Ta.algebra.ring
     if isinstance(result, OrePair):
-        _emit({"kind": "ore_pair", "ring": ring.tag, "radius": result.radius,
-               "window": [label_to_json(ring, u) for u in result.window],
-               "a": element_to_json(result.a), "s": element_to_json(result.s),
-               "t": element_to_json(result.t), "b": element_to_json(result.b),
-               "residual_zero": result.residual().is_zero()}, args.out)
+        _emit({"kind": "ore_pair", **result.to_json()}, args.out)
         return OK
     if isinstance(result, ZeroDivisorCertificate):
-        _emit({"kind": "zero_divisor_certificate", "ring": ring.tag,
-               "side": result.side, "radius": result.radius,
-               "window": [label_to_json(ring, u) for u in result.window],
-               "a": element_to_json(result.a),
-               "witness": element_to_json(result.witness),
-               "verified": result.product_is_zero()}, args.out)
+        _emit({"kind": "zero_divisor_certificate", **result.to_json()}, args.out)
         return OK
     _emit({"kind": "exhaustion_report", **result.to_json()}, args.out)
     return NEGATIVE

@@ -98,6 +98,8 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if max_radius < 0:
+        raise ValueError("max_radius must be >= 0")
     S = ring.label_set(S)
     if not S:
         raise ValueError("S must be non-empty")
@@ -141,6 +143,8 @@ def _profile_row(ring, F, S, radius) -> ProfileRow:
 
 def isoperimetric_profile(ring: FusionRing, S, max_radius: int) -> list[ProfileRow]:
     """Exact integer table (radius, |F|, |bd_S F|, |bd^sym_S F|, ratio)."""
+    if max_radius < 0:
+        raise ValueError("max_radius must be >= 0")
     S = ring.label_set(S)
     if not S:
         raise ValueError("S must be non-empty")

@@ -1,13 +1,9 @@
 """Canonical JSON serialization for elements, matrices and reports.
 
-Element schema:
-    {"algebra": "<ring tag>", "mode": "exact"|"float",
-     "terms": [{"irrep": <label>, "row": i, "col": j,
-                "re": "p/q"|number, "im": "p/q"|number}, ...]}
-
-Matrix schema:
-    {"algebra": ..., "mode": ..., "n": n, "entries": [[<element>, ...], ...]}
-    (each entry is a full element object; algebra and mode must agree)
+The shapes are defined in ``schemas/``: ``element.schema.json`` (elements,
+with the shared label, fraction, scalar and term shapes),
+``matrix.schema.json`` (an n x n grid of elements, whose algebra and mode
+must agree with the matrix's) and one file per subcommand report.
 
 Labels are JSON integers (su2, Z, Z/m), integer arrays (product groups,
 Heisenberg) or strings (finite:S3). Exact scalars serialize as fraction

@@ -52,6 +52,20 @@ class ZeroDivisorCertificate:
             return prod.is_zero()
         return prod.norm_max() < FLOAT_ZERO_TOL
 
+    def to_json(self) -> dict:
+        from .serialize import element_to_json, label_to_json
+
+        ring = self.a.algebra.ring
+        return {
+            "ring": ring.tag,
+            "side": self.side,
+            "radius": self.radius,
+            "window": [label_to_json(ring, u) for u in self.window],
+            "a": element_to_json(self.a),
+            "witness": element_to_json(self.witness),
+            "verified": self.product_is_zero(),
+        }
+
 
 @dataclass(frozen=True)
 class NotFoundReport:
@@ -79,6 +93,21 @@ class OrePair:
     def residual(self) -> AlgebraElement:
         return self.a * self.t - self.s * self.b
 
+    def to_json(self) -> dict:
+        from .serialize import element_to_json, label_to_json
+
+        ring = self.a.algebra.ring
+        return {
+            "ring": ring.tag,
+            "radius": self.radius,
+            "window": [label_to_json(ring, u) for u in self.window],
+            "a": element_to_json(self.a),
+            "s": element_to_json(self.s),
+            "t": element_to_json(self.t),
+            "b": element_to_json(self.b),
+            "residual_zero": self.residual().is_zero(),
+        }
+
 
 def _mult_side(side: str) -> str:
     if side not in ("left", "right"):
@@ -90,6 +119,8 @@ def zero_divisor_search(a: AlgebraElement, side: str = "left",
                         max_radius: int = 8):
     """Search growing ball windows for b != 0 with a b = 0 (or b a = 0)."""
     _mult_side(side)
+    if max_radius < 0:
+        raise ValueError("max_radius must be >= 0")
     if a.is_zero():
         raise AlgebraError("zero element is a trivial zero-divisor; need a != 0")
     algebra = a.algebra
@@ -137,6 +168,8 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
     boundary, since both multiplications act on the left); the resulting
     column surplus guarantees a nonzero kernel before any solving happens.
     """
+    if max_radius < 0:
+        raise ValueError("max_radius must be >= 0")
     if a.is_zero() or s.is_zero():
         raise AlgebraError("ore_pair needs nonzero a and s")
     if a.algebra is not s.algebra:

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,26 @@ from folnerlab.scalars import EXACT
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = REPO_ROOT / "schemas"
+
+
+@cache
+def schema_registry():
+    """Every ``schemas/*.schema.json`` keyed by its ``$id``, so that the
+    cross-file ``$ref``s between them resolve."""
+    from referencing import Registry, Resource
+
+    docs = [json.loads(path.read_text())
+            for path in sorted(SCHEMA_DIR.glob("*.schema.json"))]
+    return Registry().with_resources(
+        (doc["$id"], Resource.from_contents(doc)) for doc in docs)
+
+
+def schema_validator(name: str):
+    """A Draft 2020-12 validator for ``schemas/<name>.schema.json``."""
+    import jsonschema
+
+    schema = schema_registry()[f"folnerlab/{name}.schema.json"].contents
+    return jsonschema.Draft202012Validator(schema, registry=schema_registry())
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from folnerlab import (MatrixOverPol, SchemaError, algebra_for, dump_element,
                        element_to_json, load_element, parse_element)
 from folnerlab.cli import main
 
-from conftest import SCHEMA_DIR
+from conftest import SCHEMA_DIR, schema_registry, schema_validator
 
 AZ = algebra_for("group:Z")
 AHEIS = algebra_for("group:heisenberg")
@@ -93,18 +93,12 @@ def test_label_forms_per_provider():
 
 
 def test_element_matrix_schema_files_validate():
-    import jsonschema
-
-    with open(SCHEMA_DIR / "element.schema.json") as fh:
-        el_schema = json.load(fh)
-    with open(SCHEMA_DIR / "matrix.schema.json") as fh:
-        mat_schema = json.load(fh)
     a = AHEIS.group_element({(1, 0, 0): (Fraction(1, 2), Fraction(3))})
-    jsonschema.validate(element_to_json(a), el_schema)
+    schema_validator("element").validate(element_to_json(a))
     T = MatrixOverPol(AHEIS, [[a]])
     from folnerlab import matrix_to_json
 
-    jsonschema.validate(matrix_to_json(T), mat_schema)
+    schema_validator("matrix").validate(matrix_to_json(T))
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +117,7 @@ def run_cli(capsys, argv):
 
 
 def validate(kind, payload):
-    import jsonschema
-
-    with open(SCHEMA_DIR / f"{kind}.schema.json") as fh:
-        jsonschema.validate(payload, json.load(fh))
+    schema_validator(kind).validate(payload)
 
 
 def test_cli_folner_certificate(capsys):
@@ -199,14 +190,24 @@ def test_cli_zero_divisor_not_found_exit_2(capsys, tmp_path):
     validate("zero_divisor", out)
 
 
-def test_cli_ore_pair(capsys, tmp_path):
-    a = write(tmp_path, "a.json", AZ.group_element({0: 2, 1: 1}))
-    s = write(tmp_path, "s.json", AZ.group_element({0: 1, 1: -1}))
+@pytest.mark.parametrize("tag, a, s, max_radius, expected_code, kind", [
+    ("group:Z", {0: 2, 1: 1}, {0: 1, 1: -1}, 10, 0, "ore_pair"),
+    # s = 1 + h with h of order 2 annihilates 1 - h, so t = 0 is found
+    ("group:ZxZ/2", {(1, 0): 1}, {(0, 0): 1, (0, 1): 1}, 4, 0,
+     "zero_divisor_certificate"),
+    ("group:heisenberg", {(1, 0, 0): 1}, {(0, 1, 0): 1}, 1, 2,
+     "exhaustion_report"),
+], ids=["pair", "zero_divisor", "exhaustion"])
+def test_cli_ore_pair(capsys, tmp_path, tag, a, s, max_radius, expected_code, kind):
+    algebra = algebra_for(tag)
+    a = write(tmp_path, "a.json", algebra.group_element(a))
+    s = write(tmp_path, "s.json", algebra.group_element(s))
     code, out = run_cli(capsys, ["ore-pair", "--a", a, "--s", s,
-                                 "--max-radius", "10"])
-    assert code == 0
-    assert out["kind"] == "ore_pair"
-    assert out["residual_zero"] is True
+                                 "--max-radius", str(max_radius)])
+    assert code == expected_code
+    assert out["kind"] == kind
+    if kind == "ore_pair":
+        assert out["residual_zero"] is True
     validate("ore_pair", out)
 
 
@@ -244,6 +245,14 @@ def test_cli_error_paths(capsys, tmp_path):
     code, _ = run_cli(capsys, ["kernel-dim", "--ring", "finite:S3",
                                "--matrix", path, "--window", "2"])
     assert code == 1  # ring flag contradicts the file's algebra
+    # a negative radius budget is an error, not an exhausted search
+    for argv in (["folner", "--ring", "su2", "--S", "1", "--epsilon", "1/2",
+                  "--max-radius", "-1"],
+                 ["profile", "--ring", "su2", "--S", "1", "--max-radius", "-1"],
+                 ["zero-divisor", "--element", path, "--max-radius", "-1"],
+                 ["ore-pair", "--a", path, "--s", path, "--max-radius", "-2"]):
+        code, out = run_cli(capsys, argv)
+        assert (code, out) == (1, None)
 
 
 def test_cli_deterministic_bytes(capsys, tmp_path):
@@ -263,3 +272,67 @@ def test_cli_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert payload["kind"] == "folner_certificate"
+
+
+# ---------------------------------------------------------------------------
+# the schemas themselves
+
+
+def _subschemas(node):
+    """Every JSON object nested in ``node``, ``node`` included."""
+    if isinstance(node, dict):
+        yield node
+        children = node.values()
+    elif isinstance(node, list):
+        children = node
+    else:
+        return
+    for child in children:
+        yield from _subschemas(child)
+
+
+def test_every_schema_ref_resolves_and_shared_shapes_stay_closed(capsys, tmp_path):
+    registry = schema_registry()
+    refs = 0
+    for path in sorted(SCHEMA_DIR.glob("*.schema.json")):
+        doc = json.loads(path.read_text())
+        resolver = registry.resolver(base_uri=doc["$id"])
+        for sub in _subschemas(doc):
+            if "$ref" in sub:
+                resolver.lookup(sub["$ref"])  # raises on a dangling ref
+                refs += 1
+    assert refs > 0
+
+    # additionalProperties does not see properties that arrive through a
+    # $ref, so a shared shape is closed by its own additionalProperties or
+    # by the referring schema's unevaluatedProperties
+    zd = write(tmp_path, "zd.json",
+               algebra_for("group:ZxZ/2").group_element({(0, 0): 1, (0, 1): -1}))
+    omg = write(tmp_path, "omg.json", AZ.group_element({0: 1, 1: -1}))
+    runs = {
+        "zero_divisor": (["zero-divisor", "--element", zd, "--max-radius", "2"],
+                         lambda p: p["a"]["terms"][0]),
+        "profile": (["profile", "--ring", "group:Z", "--S", "[1,-1]",
+                     "--max-radius", "2"], lambda p: p["rows"][0]),
+        "tower": (["tower", "--matrix", omg, "--moduli", "3,9", "--window", "2"],
+                  lambda p: p["source_estimate"]),
+    }
+    for kind, (argv, inner) in runs.items():
+        _, out = run_cli(capsys, argv)
+        validator = schema_validator(kind)
+        validator.validate(out)
+        for target in (lambda p: p, inner):
+            payload = json.loads(json.dumps(out))
+            target(payload)["unexpected"] = 1
+            assert not validator.is_valid(payload), (kind, "extra key accepted")
+
+
+def test_no_schema_shape_is_written_twice():
+    seen = {}
+    for path in sorted(SCHEMA_DIR.glob("*.schema.json")):
+        for sub in _subschemas(json.loads(path.read_text())):
+            text = json.dumps(sub, sort_keys=True)
+            if len(text) > 150:
+                seen.setdefault(text, []).append(path.name)
+    repeated = [names for names in seen.values() if len(names) > 1]
+    assert not repeated, f"shape written more than once, in {repeated}"
