@@ -133,8 +133,7 @@ def _run_zero_divisor(args) -> int:
     if isinstance(result, ZeroDivisorCertificate):
         _emit({"kind": "zero_divisor_certificate", **result.to_json()}, args.out)
         return OK
-    _emit({"kind": "not_found_report", "ring": a.algebra.tag, **result.to_json()},
-          args.out)
+    _emit({"kind": "not_found_report", **result.to_json()}, args.out)
     return NEGATIVE
 
 

@@ -69,12 +69,14 @@ class ZeroDivisorCertificate:
 
 @dataclass(frozen=True)
 class NotFoundReport:
+    ring: str          # ring tag of the searched element
     side: str
     max_radius: int
     kernel_dims: tuple  # (radius, Fraction) pairs, all zero so far
 
     def to_json(self) -> dict:
         return {
+            "ring": self.ring,
             "side": self.side,
             "max_radius": self.max_radius,
             "kernel_dims": [[r, str(d)] for r, d in self.kernel_dims],
@@ -140,7 +142,7 @@ def zero_divisor_search(a: AlgebraElement, side: str = "left",
                 raise RuntimeError("kernel vector failed certificate verification")
             return cert
         dims.append((radius, Fraction(0)))
-    return NotFoundReport(side=side, max_radius=max_radius,
+    return NotFoundReport(ring=algebra.tag, side=side, max_radius=max_radius,
                           kernel_dims=tuple(dims))
 
 

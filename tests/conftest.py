@@ -25,10 +25,12 @@ def schema_registry():
 
 
 def schema_validator(name: str):
-    """A Draft 2020-12 validator for ``schemas/<name>.schema.json``."""
+    """A Draft 2020-12 validator for ``schemas/<name>.schema.json``, after
+    checking the schema itself against the 2020-12 metaschema."""
     import jsonschema
 
     schema = schema_registry()[f"folnerlab/{name}.schema.json"].contents
+    jsonschema.Draft202012Validator.check_schema(schema)
     return jsonschema.Draft202012Validator(schema, registry=schema_registry())
 
 
