@@ -14,7 +14,7 @@
 from fractions import Fraction
 
 from folnerlab import (MatrixOverPol, algebra_for, exact_mvn_dim_finite,
-                       kernel_dim_estimate, relative_dimension,
+                       kernel_dim_estimate, rank_nullity, relative_dimension,
                        restricted_mult_matrix)
 
 AZ = algebra_for("group:Z")
@@ -55,4 +55,4 @@ print("dim_F span{u^std_11} over Irred(S3):", val)
 op = restricted_mult_matrix(MatrixOverPol.from_element(
     AZ.group_element({0: 1, 1: -1})), range(-2, 3))
 print("restricted 1 - g on {-2..2}:", op.matrix.shape,
-      "rank/nullity", op.rank_nullity())
+      "rank/nullity", rank_nullity(op.matrix))

@@ -101,17 +101,15 @@ def _run_profile(args) -> int:
     ring = ring_from_tag(args.ring)
     S = _labels_flag(ring, args.S)
     rows = isoperimetric_profile(ring, S, args.max_radius)
+    payload_rows = [r.to_json() for r in rows]
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["radius", "window_weight", "boundary_weight",
-                        "symmetric_boundary_weight", "ratio", "ratio_decimal"])
-            for r in rows:
-                w.writerow([r.radius, r.window_weight, r.boundary_weight,
-                            r.symmetric_boundary_weight, str(r.ratio), float(r.ratio)])
+            w = csv.DictWriter(fh, fieldnames=list(payload_rows[0]))
+            w.writeheader()
+            w.writerows(payload_rows)
     _emit({"kind": "isoperimetric_profile", "ring": ring.tag,
            "S": [label_to_json(ring, u) for u in ring.sorted_labels(S)],
-           "rows": [r.to_json() for r in rows]}, args.out)
+           "rows": payload_rows}, args.out)
     return OK
 
 
@@ -166,18 +164,12 @@ def _run_tower(args) -> int:
     return OK
 
 
-_AXIOM_DEFAULTS = {
-    "su2": lambda ring: range(13),
-    "finite:S3": lambda ring: ring.irreducibles(),
-}
-
-
 def _run_check_axioms(args) -> int:
     ring = ring_from_tag(args.ring)
     if args.labels:
         labels = _labels_flag(ring, args.labels)
-    elif ring.tag in _AXIOM_DEFAULTS:
-        labels = _AXIOM_DEFAULTS[ring.tag](ring)
+    elif ring.tag == "su2":  # infinite, but a fixed label range needs no ball
+        labels = range(13)
     elif ring.is_finite:
         labels = ring.irreducibles()
     else:

@@ -19,7 +19,8 @@ by its shape and its leading rows, never by its size:
   pivots, the kernel basis comes from its free columns.
 
 Every emitted kernel vector is re-verified: M v = 0 exactly, or
-||M v|| <= tol ||M|| ||v|| in float mode. All paths are deterministic, so
+||M v|| <= 10 tol ||M|| ||v|| in float mode, with tol = DEFAULT_FLOAT_TOL
+(which also sets the float rank's singular-value threshold). All paths are deterministic, so
 identical inputs give bit-identical outputs.
 """
 
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import EXACT, FLOAT, QQI_ONE, QQI_ZERO, QQi
+from .scalars import EXACT, FLOAT, QQI_ZERO, QQi
 
 DEFAULT_FLOAT_TOL = 1e-9
 
@@ -107,14 +108,14 @@ class ScalarMatrix:
 # ---------------------------------------------------------------------------
 # float path
 
-def _float_svd(M: ScalarMatrix, tol: float):
+def _float_svd(M: ScalarMatrix):
     rows, cols = M.shape
     if rows == 0 or cols == 0:
         return 0, np.zeros((0,)), np.eye(cols, dtype=complex)
     _, sv, vh = np.linalg.svd(M.array)
     if sv.size == 0 or sv[0] == 0.0:
         return 0, sv, vh
-    rank = int(np.count_nonzero(sv > tol * sv[0]))
+    rank = int(np.count_nonzero(sv > DEFAULT_FLOAT_TOL * sv[0]))
     return rank, sv, vh
 
 
@@ -174,70 +175,47 @@ def _sympy_rref(M: ScalarMatrix):
     return _to_domain_matrix(M).rref(method="GJ")
 
 
-def _sympy_nullspace(M: ScalarMatrix):
-    rref, pivots = _sympy_rref(M)
-    ns = rref.nullspace_from_rref(pivots).to_sparse()
-    basis = []
-    items = ns.rep.to_dok().items()
-    rows: dict[int, dict[int, QQi]] = {}
-    for (r, c), v in items:
-        rows.setdefault(r, {})[c] = _from_gaussian(v)
-    cols = M.shape[1]
-    for r in sorted(rows):
-        vec = [QQI_ZERO] * cols
-        for c, v in rows[r].items():
-            vec[c] = v
-        basis.append(vec)
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # public surface
 
-def rank_nullity(M: ScalarMatrix, tol: float | None = None) -> tuple[int, int]:
+def rank_nullity(M: ScalarMatrix) -> tuple[int, int]:
     """(rank, nullity) with rank + nullity = cols; exact in exact mode."""
-    rows, cols = M.shape
+    cols = M.shape[1]
     if M.mode == FLOAT:
         if not M.is_finite():
             raise ValueError("matrix has non-finite entries")
-        rank, _, _ = _float_svd(M, DEFAULT_FLOAT_TOL if tol is None else tol)
+        rank, _, _ = _float_svd(M)
         return rank, cols - rank
-    if rows == 0 or cols == 0 or not M.entries:
-        return 0, cols
     if _certified_full_rank(M):
         return cols, 0
     _, pivots = _sympy_rref(M)
     return len(pivots), cols - len(pivots)
 
 
-def nullspace_basis(M: ScalarMatrix, tol: float | None = None) -> list:
+def nullspace_basis(M: ScalarMatrix) -> list:
     """Kernel basis, deterministic; exact vectors have leading entry 1,
     float vectors are unit-norm. Every vector is re-verified against M."""
-    rows, cols = M.shape
+    cols = M.shape[1]
     if M.mode == FLOAT:
         if not M.is_finite():
             raise ValueError("matrix has non-finite entries")
-        tol = DEFAULT_FLOAT_TOL if tol is None else tol
-        rank, sv, vh = _float_svd(M, tol)
+        rank, sv, vh = _float_svd(M)
         basis = [np.conj(vh[k]) for k in range(rank, cols)]
         scale = float(sv[0]) if sv.size else 0.0
         for v in basis:
-            if np.linalg.norm(M.array @ v) > max(tol * scale, 1e-300) * np.linalg.norm(v) * 10:
+            if np.linalg.norm(M.array @ v) > \
+                    max(DEFAULT_FLOAT_TOL * scale, 1e-300) * np.linalg.norm(v) * 10:
                 raise AssertionError("float kernel vector failed verification")
-        return basis
-    if cols == 0:
-        return []
-    if rows == 0 or not M.entries:
-        basis = []
-        for c in range(cols):
-            v = [QQI_ZERO] * cols
-            v[c] = QQI_ONE
-            basis.append(v)
         return basis
     if _certified_full_rank(M):
         return []
+    rref, pivots = _sympy_rref(M)
     out = []
-    for v in _sympy_nullspace(M):
+    # the nullspace is sparse: one {col: entry} row per free column, in order
+    for row in rref.nullspace_from_rref(pivots).rep.values():
+        v = [QQI_ZERO] * cols
+        for c, x in row.items():
+            v[c] = _from_gaussian(x)
         lead = next(x for x in v if x)
         v = [x / lead if x else x for x in v]
         if any(M.matvec(v)):

@@ -44,8 +44,9 @@ class InvalidLabelError(ValueError):
 
 
 class FusionRing:
-    """Base class; subclasses provide unit, dim, conj and product, and the
-    trusted forms _dim and _conj (and _support where it beats product)."""
+    """Base class; subclasses provide unit, normalize and product, and the
+    trusted _dim and _conj (and _support where it beats product), from
+    which the checked dim and conj are derived."""
 
     tag: str
     is_finite = False
@@ -56,12 +57,6 @@ class FusionRing:
     # subclass surface ------------------------------------------------------
 
     def normalize(self, u):
-        raise NotImplementedError
-
-    def dim(self, u) -> int:
-        raise NotImplementedError
-
-    def conj(self, u):
         raise NotImplementedError
 
     def product(self, u, v) -> dict:
@@ -87,6 +82,12 @@ class FusionRing:
         return self.product(u, v)
 
     # shared operations ------------------------------------------------------
+
+    def dim(self, u) -> int:
+        return self._dim(self.check_label(u))
+
+    def conj(self, u):
+        return self._conj(self.check_label(u))
 
     def check_label(self, u):
         """Canonicalize a label, raising InvalidLabelError if it is not one."""
@@ -123,14 +124,6 @@ class SU2FusionRing(FusionRing):
             raise ValueError(f"{u!r} is not a nonnegative integer")
         return u
 
-    def dim(self, u):
-        self.check_label(u)
-        return u + 1
-
-    def conj(self, u):
-        self.check_label(u)
-        return u
-
     def product(self, u, v):
         return {w: 1 for w in range(abs(u - v), u + v + 1, 2)}
 
@@ -156,14 +149,6 @@ class GroupFusionRing(FusionRing):
 
     def normalize(self, u):
         return self.group.normalize(u)
-
-    def dim(self, u):
-        self.check_label(u)
-        return 1
-
-    def conj(self, u):
-        self.check_label(u)
-        return self.group.inv(u)
 
     def product(self, u, v):
         return {self.group.mul(u, v): 1}
@@ -201,14 +186,6 @@ class S3FusionRing(FusionRing):
     def normalize(self, u):
         if u not in self.labels:
             raise ValueError(f"{u!r} is not one of {self.labels}")
-        return u
-
-    def dim(self, u):
-        self.check_label(u)
-        return self._dims[u]
-
-    def conj(self, u):
-        self.check_label(u)
         return u
 
     def product(self, u, v):

@@ -405,29 +405,23 @@ class RestrictedOperator:
     component-major then by (label, row, col).
     """
 
-    def __init__(self, algebra, n, side, window, interior, source_support,
-                 domain_basis, codomain_basis, matrix, zero_columns):
+    def __init__(self, algebra, n, side, window, interior,
+                 domain_basis, codomain_basis, matrix):
         self.algebra = algebra
         self.n = n
         self.side = side
         self.window = window
         self.interior = interior
-        self.source_support = source_support
         self.domain_basis = domain_basis
         self.codomain_basis = codomain_basis
         self.matrix = matrix
-        self.zero_columns = zero_columns
 
-    def rank_nullity(self):
-        return exactla.rank_nullity(self.matrix)
-
-    def elements_from_coords(self, coords, basis=None) -> tuple:
+    def elements_from_coords(self, coords) -> tuple:
         """Convert domain coordinates (orthonormal basis) back to an n-tuple
         of algebra elements; solvers use this to turn kernel vectors into
         certificates."""
-        basis = self.domain_basis if basis is None else basis
         comps = [dict() for _ in range(self.n)]
-        for t, (comp, label, i, j) in enumerate(basis):
+        for t, (comp, label, i, j) in enumerate(self.domain_basis):
             c = coords[t]
             if not c:
                 continue
@@ -435,11 +429,6 @@ class RestrictedOperator:
                 c = complex(c) * math.sqrt(self.algebra.ring.dim(label))
             comps[comp][(label, i, j)] = c
         return tuple(AlgebraElement(self.algebra, d) for d in comps)
-
-    def kernel_elements(self) -> list:
-        """Nullspace vectors converted back to n-tuples of algebra elements."""
-        return [self.elements_from_coords(v)
-                for v in exactla.nullspace_basis(self.matrix)]
 
     def __repr__(self):
         r, c = self.matrix.shape
@@ -476,11 +465,10 @@ def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",
     if not supp <= S:
         raise AlgebraError("S must contain the support of T")
     F = ring.label_set(F)
-    return _restricted_operator(T, F, S, boundary_decomposition(ring, F, S, side=side),
-                                side)
+    return _restricted_operator(T, F, boundary_decomposition(ring, F, S, side=side), side)
 
 
-def _restricted_operator(T: MatrixOverPol, F: frozenset, S: frozenset, dec,
+def _restricted_operator(T: MatrixOverPol, F: frozenset, dec,
                          side: str) -> RestrictedOperator:
     """restricted_mult_matrix on checked labels, given the boundary
     decomposition ``dec`` of F over S on ``side``, so that callers which
@@ -504,11 +492,9 @@ def _restricted_operator(T: MatrixOverPol, F: frozenset, S: frozenset, dec,
         algebra, n, side,
         window=ring.sorted_labels(F),
         interior=ring.sorted_labels(interior),
-        source_support=ring.sorted_labels(S),
         domain_basis=domain_basis,
         codomain_basis=codomain_basis,
         matrix=matrix,
-        zero_columns=not interior,
     )
 
 

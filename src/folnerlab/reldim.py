@@ -40,7 +40,6 @@ class DimensionEstimate:
     rank: int
     side: str
     degenerate: bool = False
-    rank_sum_ok: bool = True
 
     def contains(self, value) -> bool:
         return self.lower <= value <= self.upper
@@ -147,19 +146,17 @@ def _estimate(T: MatrixOverPol, F: frozenset, dec, side: str) -> DimensionEstima
             boundary_ratio=Fraction(bw, fw), window_weight=fw,
             boundary_weight=bw, interior_weight=0, nullity=0, rank=0,
             side=side, degenerate=True)
-    op = _restricted_operator(T, F, T.support(), dec, side)
+    op = _restricted_operator(T, F, dec, side)
     rank, nullity = exactla.rank_nullity(op.matrix)
     lower = Fraction(nullity, fw)
     ratio = Fraction(bw, fw)
     # dimension theorem on W_{int}^n, in weighted counts
-    rank_sum_ok = (nullity + rank == n * iw)
-    if not rank_sum_ok:
+    if nullity + rank != n * iw:
         raise RuntimeError("rank-sum identity violated; kernel backend is broken")
     return DimensionEstimate(
         lower=lower, upper=lower + n * ratio, window=window, n=n,
         boundary_ratio=ratio, window_weight=fw, boundary_weight=bw,
-        interior_weight=iw, nullity=nullity, rank=rank, side=side,
-        rank_sum_ok=rank_sum_ok)
+        interior_weight=iw, nullity=nullity, rank=rank, side=side)
 
 
 def exact_mvn_dim_finite(T: MatrixOverPol, side: str = "right") -> Fraction:

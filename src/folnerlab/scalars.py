@@ -125,24 +125,12 @@ def as_scalar(value, mode: str):
             f"exact mode needs rational data, got {type(value).__name__}"
         )
     if mode == FLOAT:
-        if isinstance(value, QQi):
-            return complex(value)
         return complex(value)
     raise ValueError(f"unknown scalar mode {mode!r}")
 
 
 def scalar_zero(mode: str):
     return QQI_ZERO if mode == EXACT else 0j
-
-
-def scalar_is_zero(value, mode: str, tol: float = 0.0) -> bool:
-    if mode == EXACT:
-        return not value
-    return abs(value) <= tol
-
-
-def scalar_conj(value, mode: str):
-    return value.conjugate()
 
 
 def fraction_str(q: Fraction) -> str:

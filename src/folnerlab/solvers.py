@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import exactla
 from .folner import ExhaustionReport, ProfileRow
 from .fusion import _weight, ball, boundary_decomposition
@@ -35,6 +37,13 @@ from .reldim import DimensionEstimate, kernel_dim_estimate
 from .scalars import EXACT
 
 FLOAT_ZERO_TOL = 1e-9
+
+
+def _vanishes(x: AlgebraElement) -> bool:
+    """x = 0: exactly in exact mode, up to FLOAT_ZERO_TOL in float mode."""
+    if x.algebra.mode == EXACT:
+        return x.is_zero()
+    return x.norm_max() < FLOAT_ZERO_TOL
 
 
 @dataclass(frozen=True)
@@ -47,10 +56,7 @@ class ZeroDivisorCertificate:
 
     def product_is_zero(self) -> bool:
         a, b = self.a, self.witness
-        prod = a * b if self.side == "left" else b * a
-        if a.algebra.mode == EXACT:
-            return prod.is_zero()
-        return prod.norm_max() < FLOAT_ZERO_TOL
+        return _vanishes(a * b if self.side == "left" else b * a)
 
     def to_json(self) -> dict:
         from .serialize import element_to_json, label_to_json
@@ -117,6 +123,17 @@ def _mult_side(side: str) -> str:
     return side
 
 
+def _zero_divisor_certificate(a: AlgebraElement, witness: AlgebraElement,
+                              side: str, F, radius: int) -> ZeroDivisorCertificate:
+    """The certificate that ``witness`` != 0 annihilates ``a`` on ``side``,
+    re-verified by a full multiplication."""
+    cert = ZeroDivisorCertificate(a=a, witness=witness, side=side,
+                                  window=a.algebra.ring.sorted_labels(F), radius=radius)
+    if witness.is_zero() or not cert.product_is_zero():
+        raise RuntimeError("zero-divisor witness failed verification")
+    return cert
+
+
 def zero_divisor_search(a: AlgebraElement, side: str = "left",
                         max_radius: int = 8):
     """Search growing ball windows for b != 0 with a b = 0 (or b a = 0)."""
@@ -132,15 +149,10 @@ def zero_divisor_search(a: AlgebraElement, side: str = "left",
     for radius in range(max_radius + 1):
         F = ball(algebra.ring, S, radius)
         op = restricted_mult_matrix(T, F, side=side)
-        kernel = op.kernel_elements()
+        kernel = exactla.nullspace_basis(op.matrix)
         if kernel:
-            b = kernel[0][0]
-            cert = ZeroDivisorCertificate(
-                a=a, witness=b, side=side,
-                window=algebra.ring.sorted_labels(F), radius=radius)
-            if b.is_zero() or not cert.product_is_zero():
-                raise RuntimeError("kernel vector failed certificate verification")
-            return cert
+            (b,) = op.elements_from_coords(kernel[0])
+            return _zero_divisor_certificate(a, b, side, F, radius)
         dims.append((radius, Fraction(0)))
     return NotFoundReport(ring=algebra.tag, side=side, max_radius=max_radius,
                           kernel_dims=tuple(dims))
@@ -176,84 +188,55 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
         raise AlgebraError("ore_pair needs nonzero a and s")
     if a.algebra is not s.algebra:
         raise AlgebraError("a and s live in different algebras")
-    algebra = a.algebra
-    ring = algebra.ring
+    ring = a.algebra.ring
     S = a.support() | s.support()
     profile = []
-    chosen = None
     for radius in range(max_radius + 1):
         F = ball(ring, S, radius)
         dec = boundary_decomposition(ring, F, S, side="left")
         fw = _weight(ring, F)
         bw = _weight(ring, dec.boundary)
+        sw = _weight(ring, dec.symmetric_boundary)
         profile.append(ProfileRow(
             radius=radius, window_weight=fw, boundary_weight=bw,
-            symmetric_boundary_weight=bw, ratio=Fraction(bw, fw)))
+            symmetric_boundary_weight=sw, ratio=Fraction(sw, fw)))
         if 2 * bw < fw:
-            chosen = (radius, F, dec, fw, bw)
             break
-    if chosen is None:
+    else:
         return ExhaustionReport(
             ring=ring.tag, S=ring.sorted_labels(S), epsilon=Fraction(1, 2),
             max_radius=max_radius, strategy="ore-ball", profile=tuple(profile))
-    radius, F, dec, fw, bw = chosen
-    iw = _weight(ring, dec.interior)
-    if not 2 * iw > fw:  # the counting guarantee behind the kernel
+    # the counting guarantee behind the kernel
+    if not 2 * _weight(ring, dec.interior) > fw:
         raise RuntimeError("window bookkeeping is broken: 2|int| <= |F|")
 
-    ra = _restricted_operator(MatrixOverPol.from_element(a), F, S, dec, "left")
-    rs = _restricted_operator(MatrixOverPol.from_element(s), F, S, dec, "left")
-    alpha = _hstack(ra.matrix, _negate(rs.matrix))
-    kernel = exactla.nullspace_basis(alpha)
+    ra = _restricted_operator(MatrixOverPol.from_element(a), F, dec, "left")
+    rs = _restricted_operator(MatrixOverPol.from_element(s), F, dec, "left")
+    kernel = exactla.nullspace_basis(_minus_block(ra.matrix, rs.matrix))
     if not kernel:
         raise RuntimeError("column surplus did not produce a kernel; backend broken")
     d = ra.matrix.shape[1]
-    picked = None
     for vec in kernel if prefer_ore else kernel[:1]:
         (t,) = ra.elements_from_coords(vec[:d])
         (b,) = rs.elements_from_coords(vec[d:])
         if not t.is_zero():
-            picked = (t, b)
             break
-        fallback = (t, b)
-    if picked is None:
+    else:
         # t = 0 forces s b = 0 with b != 0, an explicit certificate that s
         # is a zero divisor (impossible when the algebra is a domain)
-        _, b = fallback
-        cert = ZeroDivisorCertificate(
-            a=s, witness=b, side="left",
-            window=ring.sorted_labels(F), radius=radius)
-        if b.is_zero() or not cert.product_is_zero():
-            raise RuntimeError("zero-divisor fallback failed verification")
-        return cert
-    t, b = picked
+        return _zero_divisor_certificate(s, b, "left", F, radius)
     pair = OrePair(a=a, s=s, t=t, b=b, window=ring.sorted_labels(F), radius=radius)
-    residual = pair.residual()
-    ok = residual.is_zero() if algebra.mode == EXACT \
-        else residual.norm_max() < FLOAT_ZERO_TOL
-    if not ok:
+    if not _vanishes(pair.residual()):
         raise RuntimeError("ore pair failed residual verification")
     return pair
 
 
-def _negate(M: exactla.ScalarMatrix) -> exactla.ScalarMatrix:
-    if M.mode == EXACT:
-        return exactla.ScalarMatrix(EXACT, M.shape,
-                                    entries={k: -v for k, v in M.entries.items()})
-    return exactla.ScalarMatrix(M.mode, M.shape, array=-M.array)
-
-
-def _hstack(A: exactla.ScalarMatrix, B: exactla.ScalarMatrix) -> exactla.ScalarMatrix:
-    if A.mode != B.mode or A.shape[0] != B.shape[0]:
-        raise ValueError("incompatible blocks")
-    rows = A.shape[0]
-    cols = A.shape[1] + B.shape[1]
+def _minus_block(A: exactla.ScalarMatrix, B: exactla.ScalarMatrix) -> exactla.ScalarMatrix:
+    """[A | -B], the matrix of (x, y) -> A x - B y; A and B share their rows."""
+    rows, d = A.shape
+    shape = (rows, d + B.shape[1])
     if A.mode == EXACT:
         entries = dict(A.entries)
-        for (r, c), v in B.entries.items():
-            entries[(r, c + A.shape[1])] = v
-        return exactla.ScalarMatrix(EXACT, (rows, cols), entries=entries)
-    import numpy as np
-
-    return exactla.ScalarMatrix(A.mode, (rows, cols),
-                                array=np.hstack([A.array, B.array]))
+        entries.update(((r, d + c), -v) for (r, c), v in B.entries.items())
+        return exactla.ScalarMatrix(EXACT, shape, entries=entries)
+    return exactla.ScalarMatrix(A.mode, shape, array=np.hstack([A.array, -B.array]))

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import folnerlab.exactla as exactla
-from folnerlab.exactla import ScalarMatrix, nullspace_basis, rank_nullity
+from folnerlab.exactla import (DEFAULT_FLOAT_TOL, ScalarMatrix, nullspace_basis,
+                              rank_nullity)
 from folnerlab.scalars import EXACT, FLOAT, QQi
 
 from conftest import domain_matrix, fraction_free_rank
@@ -68,6 +69,11 @@ def test_empty_shapes():
     assert rank_nullity(ScalarMatrix.from_entries({}, (0, 5), EXACT)) == (0, 5)
     assert rank_nullity(ScalarMatrix.from_entries({}, (5, 0), EXACT)) == (0, 0)
     assert nullspace_basis(ScalarMatrix.from_entries({}, (5, 0), EXACT)) == []
+    # no rows: the sparse RREF has no pivots and every column is free
+    assert nullspace_basis(ScalarMatrix.from_entries({}, (0, 3), EXACT)) == \
+        [[QQi(int(r == c)) for r in range(3)] for c in range(3)]
+    assert rank_nullity(ScalarMatrix.from_entries({}, (0, 0), EXACT)) == (0, 0)
+    assert nullspace_basis(ScalarMatrix.from_entries({}, (0, 0), EXACT)) == []
 
 
 def test_rank_permutation_invariant(rng):
@@ -159,14 +165,14 @@ def test_float_rank_stable_under_small_noise():
     base = rng.standard_normal((8, 6)) @ np.diag([1, 1, 1, 1, 0, 0]) \
         @ rng.standard_normal((6, 6))
     M = ScalarMatrix(FLOAT, base.shape, array=base.astype(complex))
-    tol = 1e-9
-    rank, _ = rank_nullity(M, tol)
+    tol = DEFAULT_FLOAT_TOL
+    rank, _ = rank_nullity(M)
     scale = np.linalg.svd(base, compute_uv=False)[0]
     for seed in range(5):
         noise = np.random.default_rng(seed).standard_normal(base.shape)
         noise *= 0.1 * tol * scale / np.linalg.norm(noise, 2)
         P = ScalarMatrix(FLOAT, base.shape, array=(base + noise).astype(complex))
-        assert rank_nullity(P, tol)[0] == rank
+        assert rank_nullity(P)[0] == rank
 
 
 def test_float_nonfinite_rejected():

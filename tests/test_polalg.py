@@ -299,7 +299,7 @@ def test_restricted_zero_matrix_rejected():
 def test_restricted_empty_interior_flagged():
     a = AZ.group_element({0: 1, 5: 1})
     op = restricted_mult_matrix(MatrixOverPol.from_element(a), [0, 1, -1])
-    assert op.zero_columns
+    assert not op.interior
     assert op.matrix.shape == (3, 0)
 
 
@@ -410,4 +410,4 @@ def test_image_escaping_window_is_internal_error(algebra, F):
     forged = BoundaryData(interior=F, boundary=(), coboundary=())
     for side in ("right", "left"):
         with pytest.raises(RuntimeError, match="fusion inclusion violated"):
-            _restricted_operator(T, F, T.support(), forged, side)
+            _restricted_operator(T, F, forged, side)

@@ -18,6 +18,8 @@ AZXZ2 = algebra_for("group:ZxZ/2")
 AZMOD2 = algebra_for("group:Z/2")
 AZ6 = algebra_for("group:Z/6")
 AHEIS = algebra_for("group:heisenberg")
+ASU2 = algebra_for("su2")
+AS3 = algebra_for("finite:S3")
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +187,69 @@ def test_ore_exhaustion_report():
     assert all(2 * row.boundary_weight >= row.window_weight for row in rep.profile)
 
 
+def test_ore_exhaustion_rows_carry_the_symmetric_boundary():
+    # S = {x, y}: the one-sided (left) boundary decides the 1/2 rule, the
+    # rows report both boundaries and the symmetric ratio, as ProfileRow
+    # defines them
+    x = AHEIS.group_element((1, 0, 0))
+    y = AHEIS.group_element((0, 1, 0))
+    rep = ore_pair(x, y, max_radius=2)
+    assert isinstance(rep, ExhaustionReport)
+    rows = [(r.radius, r.window_weight, r.boundary_weight,
+             r.symmetric_boundary_weight, r.ratio) for r in rep.profile]
+    assert rows == [(0, 1, 1, 3, Fraction(3)), (1, 5, 4, 10, Fraction(2)),
+                    (2, 17, 12, 30, Fraction(30, 17))]
+
+
 def test_ore_rejects_zero_inputs():
     with pytest.raises(AlgebraError):
         ore_pair(AZ.zero(), AZ.one())
     with pytest.raises(AlgebraError):
         ore_pair(AZ.one(), AZ.zero())
+
+
+# ---------------------------------------------------------------------------
+# float providers: su2 and finite:S3 go through the SVD kernel, the float
+# [A | -B] block and the tolerance checks of the certificates
+
+def test_ore_su2_float():
+    a, s = ASU2.basis(1, 1, 1), ASU2.basis(1, 2, 2)
+    pair = ore_pair(a, s, max_radius=4)
+    assert isinstance(pair, OrePair)
+    assert not pair.t.is_zero()
+    assert (a * pair.t - s * pair.b).norm_max() < 1e-9
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_zero_divisor_s3_float(side):
+    # triv + sgn is the function 2 on even permutations and 0 on odd ones,
+    # so it is annihilated by triv - sgn, which vanishes on the even ones
+    a = AS3.basis("triv") + AS3.basis("sgn")
+    cert = zero_divisor_search(a, side=side, max_radius=2)
+    assert isinstance(cert, ZeroDivisorCertificate)
+    assert cert.side == side and cert.radius == 1
+    assert cert.product_is_zero() and cert.to_json()["verified"] is True
+    w = cert.witness
+    assert abs(w.coeff("triv") + w.coeff("sgn")) < 1e-12
+    assert abs(w.coeff("triv")) > 0.1
+    prod = a * w if side == "left" else w * a
+    assert prod.norm_max() < 1e-9
+
+
+def test_zero_divisor_s3_float_unit_not_found():
+    # u^std_11 takes the values 1, 1/2, -1, -1/2, -1/2, 1/2 on S3: no zeros
+    rep = zero_divisor_search(AS3.basis("std", 1, 1), side="left", max_radius=2)
+    assert isinstance(rep, NotFoundReport)
+    assert rep.kernel_dims == ((0, 0), (1, 0), (2, 0))
+
+
+def test_ore_s3_float():
+    a = AS3.basis("triv") + AS3.basis("sgn")
+    s = AS3.one() + AS3.basis("std", 1, 1)
+    pair = ore_pair(a, s, max_radius=3)
+    assert isinstance(pair, OrePair)
+    assert not pair.t.is_zero()
+    assert (a * pair.t - s * pair.b).norm_max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
