@@ -13,15 +13,19 @@ by its shape and its leading rows, never by its size:
   Heisenberg windows list rows and columns in sorted label order, which
   translation preserves, so an injective one passes this check. A wide
   matrix always has a kernel, so it skips the check;
-* otherwise the answer is read off a sparse Gauss-Jordan RREF over QQ_I
-  (sympy's DomainMatrix, division-based rather than fraction-free, so
-  coefficients stay small on sparse operators): the rank is its number of
-  pivots, the kernel basis comes from its free columns.
+* otherwise the answer is read off a sparse Gauss-Jordan RREF (sympy's
+  DomainMatrix, division-based rather than fraction-free, so coefficients
+  stay small on sparse operators), over QQ when every entry has a zero
+  imaginary part and over QQ_I otherwise. The RREF is unique, so the domain
+  changes only the speed: the rank is its number of pivots, the kernel basis
+  comes from its free columns.
 
 Every emitted kernel vector is re-verified: M v = 0 exactly, or
 ||M v|| <= 10 tol ||M|| ||v|| in float mode, with tol = DEFAULT_FLOAT_TOL
-(which also sets the float rank's singular-value threshold). All paths are deterministic, so
-identical inputs give bit-identical outputs.
+(which also sets the float rank's singular-value threshold). The exact check
+runs on the vector's support only, through a column index of M built once
+per call, before the vector is spread into a dense list. All paths are
+deterministic, so identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -148,15 +152,24 @@ def _certified_full_rank(M: ScalarMatrix) -> bool:
 # exact Gauss-Jordan path (everything the certificate does not settle)
 
 def _to_domain_matrix(M: ScalarMatrix):
+    """M as a sparse DomainMatrix over QQ when every entry is real, else over
+    QQ_I. The RREF is unique, so both give the same answer; QQ skips the
+    Gaussian arithmetic."""
     from sympy import QQ, QQ_I
     from sympy.polys.matrices import DomainMatrix
 
+    real = all(not v.im for v in M.entries.values())
     data: dict[int, dict[int, object]] = {}
     for (r, c), v in M.entries.items():
         x = QQ(v.re.numerator, v.re.denominator)
-        y = QQ(v.im.numerator, v.im.denominator)
-        data.setdefault(r, {})[c] = QQ_I.new(x, y)
-    return DomainMatrix(data, M.shape, QQ_I)
+        if not real:
+            x = QQ_I.new(x, QQ(v.im.numerator, v.im.denominator))
+        data.setdefault(r, {})[c] = x
+    return DomainMatrix(data, M.shape, QQ if real else QQ_I)
+
+
+def _from_rational(q) -> QQi:
+    return QQi(Fraction(int(q.numerator), int(q.denominator)))
 
 
 def _from_gaussian(g) -> QQi:
@@ -210,15 +223,25 @@ def nullspace_basis(M: ScalarMatrix) -> list:
     if _certified_full_rank(M):
         return []
     rref, pivots = _sympy_rref(M)
+    convert = _from_rational if rref.domain.is_QQ else _from_gaussian
+    by_col: dict[int, list] = {}
+    for (r, c), e in M.entries.items():
+        by_col.setdefault(c, []).append((r, e))
     out = []
-    # the nullspace is sparse: one {col: entry} row per free column, in order
+    # the nullspace is sparse: one {col: entry} row per free column, in order;
+    # each vector is normalised and checked on its support before it is
+    # spread into a dense list
     for row in rref.nullspace_from_rref(pivots).rep.values():
-        v = [QQI_ZERO] * cols
-        for c, x in row.items():
-            v[c] = _from_gaussian(x)
-        lead = next(x for x in v if x)
-        v = [x / lead if x else x for x in v]
-        if any(M.matvec(v)):
+        lead = row[min(row)]
+        sparse = {c: convert(x / lead) for c, x in row.items()}
+        image: dict[int, QQi] = {}
+        for c, x in sparse.items():
+            for r, e in by_col.get(c, ()):
+                image[r] = image.get(r, QQI_ZERO) + e * x
+        if any(image.values()):
             raise AssertionError("exact kernel vector failed verification")
+        v = [QQI_ZERO] * cols
+        for c, x in sparse.items():
+            v[c] = x
         out.append(v)
     return out

@@ -426,7 +426,7 @@ class RestrictedOperator:
             if not c:
                 continue
             if self.algebra.mode == FLOAT:
-                c = complex(c) * math.sqrt(self.algebra.ring.dim(label))
+                c = complex(c) * math.sqrt(self.algebra.ring._dim(label))
             comps[comp][(label, i, j)] = c
         return tuple(AlgebraElement(self.algebra, d) for d in comps)
 

@@ -113,7 +113,7 @@ class OrePair:
             "s": element_to_json(self.s),
             "t": element_to_json(self.t),
             "b": element_to_json(self.b),
-            "residual_zero": self.residual().is_zero(),
+            "residual_zero": _vanishes(self.residual()),
         }
 
 

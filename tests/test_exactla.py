@@ -2,9 +2,9 @@
 
 Exact matrices take one of two routes: tall or square ones try to certify a
 trivial kernel from pairwise distinct leading rows, and everything else is
-read off a Gauss-Jordan RREF over QQ_I. The references here are independent
-of both: sympy's fraction-free elimination and a float SVD of the complex
-cast.
+read off a Gauss-Jordan RREF, over QQ when every entry is real and over QQ_I
+otherwise. The references here are independent of both: sympy's
+fraction-free elimination over QQ_I and a float SVD of the complex cast.
 """
 
 from fractions import Fraction
@@ -289,23 +289,26 @@ def test_route_depends_on_shape_and_leading_rows(monkeypatch):
 
 
 _GAUSSIAN_INTEGERS = st.builds(QQi, st.integers(-3, 3), st.integers(-3, 3))
+_REAL_INTEGERS = st.builds(QQi, st.integers(-3, 3))
 
 
 @st.composite
 def _planted_matrices(draw):
-    """Gaussian-integer matrices up to 8x8, tall, square or wide, some rows
-    zeroed and some rows or columns replaced by combinations of others."""
+    """Gaussian-integer or real integer matrices up to 8x8, tall, square or
+    wide, some rows zeroed and some rows or columns replaced by combinations
+    of others."""
     shape = draw(st.sampled_from(("tall", "square", "wide")))
     small = draw(st.integers(1, 7 if shape != "square" else 8))
     large = small if shape == "square" else draw(st.integers(small + 1, 8))
     n_rows, n_cols = (small, large) if shape == "wide" else (large, small)
-    rows = [[draw(_GAUSSIAN_INTEGERS) for _ in range(n_cols)] for _ in range(n_rows)]
+    scalars = draw(st.sampled_from((_GAUSSIAN_INTEGERS, _REAL_INTEGERS)))
+    rows = [[draw(scalars) for _ in range(n_cols)] for _ in range(n_rows)]
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(("zero row", "row combination", "column combination")))
         if kind == "zero row":
             rows[draw(st.integers(0, n_rows - 1))] = [QQi(0)] * n_cols
             continue
-        a, b = draw(_GAUSSIAN_INTEGERS), draw(_GAUSSIAN_INTEGERS)
+        a, b = draw(scalars), draw(scalars)
         if kind == "row combination":
             t, x, y = (draw(st.integers(0, n_rows - 1)) for _ in range(3))
             rows[t] = [a * u + b * w for u, w in zip(rows[x], rows[y])]
@@ -325,7 +328,26 @@ def test_exact_routes_agree_with_independent_references(rows):
     cast = np.array([[complex(x) for x in row] for row in rows])
     assert int(np.linalg.matrix_rank(cast)) == rank
     assert rank_nullity(M) == (rank, cols - rank)
-    assert nullspace_basis(M) == _fraction_free_kernel(M)
+    basis = nullspace_basis(M)
+    assert basis == _fraction_free_kernel(M)
+    real = all(not x.im for row in rows for x in row)
+    assert exactla._to_domain_matrix(M).domain.is_QQ == real
+    # i M has the kernel of M; a real M and its imaginary multiple take the
+    # RREF over QQ and over QQ_I respectively
+    rotated = exact_matrix([[QQi(0, 1) * x for x in row] for row in rows])
+    assert (rank_nullity(rotated), nullspace_basis(rotated)) == \
+        (rank_nullity(M), basis)
+
+
+def test_kernel_check_rejects_a_wrong_rref(monkeypatch):
+    # the RREF of another matrix of the same shape: its kernel vector (1, 1)
+    # is not in the kernel of M, whose kernel is spanned by (1, -1)
+    M = exact_matrix([[1, 1], [1, 1]])
+    other = exact_matrix([[1, -1], [1, -1]])
+    orig = exactla._sympy_rref
+    monkeypatch.setattr(exactla, "_sympy_rref", lambda _: orig(other))
+    with pytest.raises(AssertionError):
+        nullspace_basis(M)
 
 
 # ---------------------------------------------------------------------------

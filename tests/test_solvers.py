@@ -218,6 +218,7 @@ def test_ore_su2_float():
     assert isinstance(pair, OrePair)
     assert not pair.t.is_zero()
     assert (a * pair.t - s * pair.b).norm_max() < 1e-9
+    assert pair.to_json()["residual_zero"] is True
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -250,6 +251,7 @@ def test_ore_s3_float():
     assert isinstance(pair, OrePair)
     assert not pair.t.is_zero()
     assert (a * pair.t - s * pair.b).norm_max() < 1e-9
+    assert pair.to_json()["residual_zero"] is True
 
 
 # ---------------------------------------------------------------------------
