@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fusion import (FusionRing, _weight, ball, boundary_decomposition,
-                     conjugation_closure)
+from .fusion import (FusionRing, ball, boundary_decomposition,
+                     conjugation_closure, weighted_size)
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,14 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
     if windows is None:
         candidates = ((k, ball(ring, S, k)) for k in range(max_radius + 1))
     else:
-        candidates = ((k, conjugation_closure(ring, ring.label_set(W)))
-                      for k, W in enumerate(windows))
+        candidates = ((k, conjugation_closure(ring, W)) for k, W in enumerate(windows))
     profile = []
     for radius, F in candidates:
         if windows is not None and radius > max_radius:
             break
-        row = _profile_row(ring, F, S, radius)
+        if not F:
+            raise ValueError(f"window {radius} is empty")
+        row = _profile_row(ring, F, boundary_decomposition(ring, F, S), radius)
         profile.append(row)
         # strict inequality, cross-multiplied integers
         if row.symmetric_boundary_weight * epsilon.denominator \
@@ -132,11 +133,11 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
                             strategy=strategy, profile=tuple(profile))
 
 
-def _profile_row(ring, F, S, radius) -> ProfileRow:
-    dec = boundary_decomposition(ring, F, S)
-    fw = _weight(ring, F)
-    bw = _weight(ring, dec.boundary)
-    sw = _weight(ring, dec.symmetric_boundary)
+def _profile_row(ring, F, dec, radius) -> ProfileRow:
+    """The row of window F, given its boundary decomposition ``dec``."""
+    fw = weighted_size(ring, F)
+    bw = weighted_size(ring, dec.boundary)
+    sw = weighted_size(ring, dec.symmetric_boundary)
     return ProfileRow(radius=radius, window_weight=fw, boundary_weight=bw,
                       symmetric_boundary_weight=sw, ratio=Fraction(sw, fw))
 
@@ -148,7 +149,11 @@ def isoperimetric_profile(ring: FusionRing, S, max_radius: int) -> list[ProfileR
     S = ring.label_set(S)
     if not S:
         raise ValueError("S must be non-empty")
-    return [_profile_row(ring, ball(ring, S, k), S, k) for k in range(max_radius + 1)]
+    rows = []
+    for k in range(max_radius + 1):
+        F = ball(ring, S, k)
+        rows.append(_profile_row(ring, F, boundary_decomposition(ring, F, S), k))
+    return rows
 
 
 # ---------------------------------------------------------------------------

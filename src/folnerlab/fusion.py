@@ -24,9 +24,11 @@ Three provider families are built in:
 * ``finite:S3``  -- the representation ring of S3: labels triv, sgn, std
                     with dimensions 1, 1, 2.
 
-Labels are checked once, where they enter a public function; the inner
-loops then run on the trusted surface (``_dim``, ``_conj``, ``_support``),
-which assumes canonical labels and validates nothing.
+Labels are checked once, where a set of them enters the library: the checked
+set is a ``LabelSet`` that remembers its ring, every set built from it is one
+too, and ``FusionRing.label_set`` passes it through unchanged. Inner loops run
+on the trusted surface (``_dim``, ``_conj``, ``_support``), which assumes
+canonical labels and validates nothing.
 
 Rings are immutable after construction; the ball cache is pure and only
 ever grows.
@@ -43,6 +45,19 @@ class InvalidLabelError(ValueError):
     """A label does not belong to the ambient fusion ring."""
 
 
+class LabelSet(frozenset):
+    """A frozenset of canonical labels of ``ring``; building one asserts that
+    they are canonical. Set algebra (|, -, &) returns a plain frozenset,
+    which is checked again where it enters the library."""
+
+    __slots__ = ("ring",)
+
+    def __new__(cls, ring, labels):
+        self = super().__new__(cls, labels)
+        self.ring = ring
+        return self
+
+
 class FusionRing:
     """Base class; subclasses provide unit, normalize and product, and the
     trusted _dim and _conj (and _support where it beats product), from
@@ -52,7 +67,7 @@ class FusionRing:
     is_finite = False
 
     def __init__(self):
-        self._ball_cache: dict[tuple, list[frozenset]] = {}
+        self._ball_cache: dict[tuple, list[LabelSet]] = {}
 
     # subclass surface ------------------------------------------------------
 
@@ -96,8 +111,11 @@ class FusionRing:
         except ValueError as exc:
             raise InvalidLabelError(f"{u!r} is not a label of {self.tag}: {exc}") from None
 
-    def label_set(self, labels: Iterable) -> frozenset:
-        return frozenset(self.check_label(u) for u in labels)
+    def label_set(self, labels: Iterable) -> LabelSet:
+        """The labels, checked; a LabelSet of this ring passes unchanged."""
+        if isinstance(labels, LabelSet) and labels.ring is self:
+            return labels
+        return LabelSet(self, map(self.check_label, labels))
 
     def sorted_labels(self, labels: Iterable) -> tuple:
         return tuple(sorted(labels, key=self.sort_key))
@@ -232,35 +250,30 @@ def ring_from_tag(tag: str) -> FusionRing:
 # weighted isoperimetry
 
 class BoundaryData:
-    """The four sets of a boundary decomposition, as frozensets."""
+    """The four sets of a boundary decomposition, as LabelSets of ``ring``."""
 
     __slots__ = ("interior", "boundary", "coboundary", "symmetric_boundary")
 
-    def __init__(self, interior, boundary, coboundary):
-        self.interior = frozenset(interior)
-        self.boundary = frozenset(boundary)
-        self.coboundary = frozenset(coboundary)
-        self.symmetric_boundary = self.boundary | self.coboundary
+    def __init__(self, ring, interior, boundary, coboundary):
+        self.interior = LabelSet(ring, interior)
+        self.boundary = LabelSet(ring, boundary)
+        self.coboundary = LabelSet(ring, coboundary)
+        self.symmetric_boundary = LabelSet(ring, self.boundary | self.coboundary)
 
 
 def weighted_size(ring: FusionRing, F: Iterable) -> int:
     """|F| = sum of n_u^2 over F; exact integer."""
-    return _weight(ring, ring.label_set(F))
-
-
-def _weight(ring: FusionRing, labels) -> int:
-    """weighted_size of a set of labels that were already checked."""
     dim = ring._dim
-    return sum(dim(u) ** 2 for u in labels)
+    return sum(dim(u) ** 2 for u in ring.label_set(F))
 
 
-def conjugate_set(ring: FusionRing, F: Iterable) -> frozenset:
-    return frozenset(map(ring._conj, ring.label_set(F)))
+def conjugate_set(ring: FusionRing, F: Iterable) -> LabelSet:
+    return LabelSet(ring, map(ring._conj, ring.label_set(F)))
 
 
-def conjugation_closure(ring: FusionRing, F: Iterable) -> frozenset:
-    F = frozenset(F)
-    return F | conjugate_set(ring, F)
+def conjugation_closure(ring: FusionRing, F: Iterable) -> LabelSet:
+    F = ring.label_set(F)
+    return LabelSet(ring, F | conjugate_set(ring, F))
 
 
 def boundary_decomposition(ring: FusionRing, F: Iterable, S: Iterable,
@@ -298,10 +311,10 @@ def boundary_decomposition(ring: FusionRing, F: Iterable, S: Iterable,
         for vb in conj_S:
             reach.update(supp(w, vb))
     coboundary = reach - F
-    return BoundaryData(interior, boundary, coboundary)
+    return BoundaryData(ring, interior, boundary, coboundary)
 
 
-def ball(ring: FusionRing, S: Iterable, radius: int) -> frozenset:
+def ball(ring: FusionRing, S: Iterable, radius: int) -> LabelSet:
     """Supports of all products of at most ``radius`` factors from S, its
     conjugate set and the unit; radius 0 gives {e}. Monotone in the radius
     and automatically conjugation-closed. Cached per (ring, S)."""
@@ -309,7 +322,7 @@ def ball(ring: FusionRing, S: Iterable, radius: int) -> frozenset:
         raise ValueError("radius must be >= 0")
     S = ring.label_set(S)
     key = ring.sorted_labels(S)
-    balls = ring._ball_cache.setdefault(key, [frozenset({ring.unit})])
+    balls = ring._ball_cache.setdefault(key, [LabelSet(ring, (ring.unit,))])
     if len(balls) <= radius:
         gens = ring.sorted_labels(conjugation_closure(ring, S) - {ring.unit})
         while len(balls) <= radius:
@@ -319,7 +332,7 @@ def ball(ring: FusionRing, S: Iterable, radius: int) -> frozenset:
             for u in frontier:
                 for v in gens:
                     new.update(ring._support(u, v))
-            balls.append(prev | new)
+            balls.append(LabelSet(ring, prev | new))
     return balls[radius]
 
 

@@ -91,14 +91,6 @@ class CyclicProductGroup:
             out = [t + (x,) for t in out for x in range(m)]
         return [self._out(t) for t in out]
 
-    def order(self) -> int:
-        if not self.is_finite:
-            raise ValueError(f"{self.name} is infinite")
-        n = 1
-        for m in self.moduli:
-            n *= m
-        return n
-
 
 class HeisenbergGroup:
     """H3 over Z (modulus 0) or over Z/m; normal form (a, b, c)."""
@@ -150,11 +142,6 @@ class HeisenbergGroup:
             raise ValueError("heisenberg over Z is infinite")
         m = self.modulus
         return [(a, b, c) for a in range(m) for b in range(m) for c in range(m)]
-
-    def order(self) -> int:
-        if not self.modulus:
-            raise ValueError("heisenberg over Z is infinite")
-        return self.modulus ** 3
 
 
 def parse_group_name(name: str):

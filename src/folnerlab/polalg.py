@@ -99,7 +99,7 @@ class PolAlgebra:
         coeffs = {}
         for key, value in (terms or {}).items():
             label, i, j = self._parse_key(key)
-            n = self.ring.dim(label)
+            n = self.ring._dim(label)
             if not (1 <= i <= n and 1 <= j <= n):
                 raise AlgebraError(
                     f"indices ({i},{j}) out of range for {label!r} (size {n})")
@@ -136,10 +136,11 @@ class PolAlgebra:
             raise AlgebraError("operands live in different algebras")
         ring = self.ring
         if isinstance(ring, GroupFusionRing):
+            mul = ring.group._mul
             out = {}
             for (g, _, _), ca in a._coeffs.items():
                 for (h, _, _), cb in b._coeffs.items():
-                    k = (ring.group.mul(g, h), 1, 1)
+                    k = (mul(g, h), 1, 1)
                     v = out.get(k, QQi(0)) + ca * cb
                     if v:
                         out[k] = v
@@ -185,7 +186,7 @@ class PolAlgebra:
     def _s3_expand(self, vals):
         out = {}
         for label in self.ring.labels:
-            n = self.ring.dim(label)
+            n = self.ring._dim(label)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     acc = 0j
@@ -203,7 +204,7 @@ class PolAlgebra:
         out = {}
         if isinstance(ring, GroupFusionRing):
             for (g, _, _), c in a._coeffs.items():
-                out[(ring.group.inv(g), 1, 1)] = c.conjugate()
+                out[(ring.group._inv(g), 1, 1)] = c.conjugate()
         elif isinstance(ring, S3FusionRing):
             # all stored irreps are real, so the basis functions are
             # self-adjoint and only the coefficients conjugate
@@ -241,7 +242,9 @@ def algebra_for(ring_or_tag) -> PolAlgebra:
 class AlgebraElement:
     """Finitely supported coefficient vector over the matrix-coefficient basis.
 
-    Values are immutable: arithmetic returns fresh elements.
+    Values are immutable: arithmetic returns fresh elements. The constructor
+    trusts its coefficient map (canonical labels, indices in range, scalars
+    of the algebra's mode); ``PolAlgebra.element`` checks all three.
     """
 
     __slots__ = ("algebra", "_coeffs")
@@ -344,7 +347,7 @@ class AlgebraElement:
             vb = other._coeffs.get(k)
             if va is None or vb is None:
                 continue
-            acc = acc + va.conjugate() * vb / self.algebra.ring.dim(k[0])
+            acc = acc + va.conjugate() * vb / self.algebra.ring._dim(k[0])
         return acc
 
     def __repr__(self):

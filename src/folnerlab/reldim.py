@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla
-from .fusion import _weight, boundary_decomposition, weighted_size
+from .fusion import boundary_decomposition, weighted_size
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol,
                      _restricted_operator, full_mult_matrix)
 
@@ -66,6 +66,8 @@ class DimensionEstimate:
 
 def _require_conj_closed(ring, F):
     F = ring.label_set(F)
+    if not F:
+        raise ValueError("window must be non-empty")
     if frozenset(ring._conj(u) for u in F) != F:
         raise ValueError("window must be conjugation-closed")
     return F
@@ -119,7 +121,7 @@ def relative_dimension(algebra, vectors, F, n: int = 1) -> Fraction:
         return Fraction(0)
     M = exactla.ScalarMatrix.from_rows(rows, algebra.mode)
     rank, _ = exactla.rank_nullity(M)
-    return Fraction(rank, _weight(ring, F))
+    return Fraction(rank, weighted_size(ring, F))
 
 
 def kernel_dim_estimate(T: MatrixOverPol, F, side: str = "right") -> DimensionEstimate:
@@ -135,9 +137,9 @@ def _estimate(T: MatrixOverPol, F: frozenset, dec, side: str) -> DimensionEstima
     """kernel_dim_estimate on a checked conjugation-closed window F, given
     the boundary decomposition ``dec`` of F over supp(T) on ``side``."""
     ring = T.algebra.ring
-    fw = _weight(ring, F)
-    bw = _weight(ring, dec.boundary)
-    iw = _weight(ring, dec.interior)
+    fw = weighted_size(ring, F)
+    bw = weighted_size(ring, dec.boundary)
+    iw = weighted_size(ring, dec.interior)
     n = T.n
     window = ring.sorted_labels(F)
     if not dec.interior:

@@ -102,7 +102,6 @@ def _coerce(x) -> QQi:
 
 
 QQI_ZERO = QQi(0)
-QQI_ONE = QQi(1)
 
 
 def as_scalar(value, mode: str):
@@ -131,8 +130,3 @@ def as_scalar(value, mode: str):
 
 def scalar_zero(mode: str):
     return QQI_ZERO if mode == EXACT else 0j
-
-
-def fraction_str(q: Fraction) -> str:
-    """Canonical p/q string ("3", "-1/2"); inverse of Fraction(str)."""
-    return str(q)

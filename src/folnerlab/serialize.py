@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .fusion import FusionRing, ring_from_tag
 from .polalg import AlgebraElement, MatrixOverPol, PolAlgebra, algebra_for
-from .scalars import EXACT, QQi, fraction_str
+from .scalars import EXACT, QQi
 
 
 class SchemaError(ValueError):
@@ -47,7 +47,7 @@ def label_from_json(ring: FusionRing, obj):
 
 def scalar_to_json(value):
     if isinstance(value, QQi):
-        return {"re": fraction_str(value.re), "im": fraction_str(value.im)}
+        return {"re": str(value.re), "im": str(value.im)}
     value = complex(value)
     return {"re": value.real, "im": value.imag}
 
@@ -103,7 +103,7 @@ def element_from_json(obj: dict, algebra: PolAlgebra | None = None) -> AlgebraEl
         col = term.get("col", 1)
         if not isinstance(row, int) or not isinstance(col, int):
             raise SchemaError(f"term #{k}: row/col must be integers")
-        n = algebra.ring.dim(label)
+        n = algebra.ring._dim(label)
         if not (1 <= row <= n and 1 <= col <= n):
             raise SchemaError(
                 f"term #{k}: index ({row},{col}) out of range for {label!r} (size {n})")

@@ -29,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .folner import ExhaustionReport, ProfileRow
-from .fusion import _weight, ball, boundary_decomposition
+from .folner import ExhaustionReport, _profile_row
+from .fusion import ball, boundary_decomposition, weighted_size
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol,
                      _restricted_operator, restricted_mult_matrix)
 from .reldim import DimensionEstimate, kernel_dim_estimate
@@ -143,12 +143,12 @@ def zero_divisor_search(a: AlgebraElement, side: str = "left",
     if a.is_zero():
         raise AlgebraError("zero element is a trivial zero-divisor; need a != 0")
     algebra = a.algebra
-    S = a.support()
+    S = algebra.ring.label_set(a.support())
     T = MatrixOverPol.from_element(a)
     dims = []
     for radius in range(max_radius + 1):
         F = ball(algebra.ring, S, radius)
-        op = restricted_mult_matrix(T, F, side=side)
+        op = restricted_mult_matrix(T, F, side=side, S=S)
         kernel = exactla.nullspace_basis(op.matrix)
         if kernel:
             (b,) = op.elements_from_coords(kernel[0])
@@ -165,7 +165,7 @@ def kernel_dim_sequence(a: AlgebraElement, side: str = "left",
     if a.is_zero():
         raise AlgebraError("need a != 0")
     algebra = a.algebra
-    S = a.support()
+    S = algebra.ring.label_set(a.support())
     T = MatrixOverPol.from_element(a)
     out = []
     for radius in radii:
@@ -189,25 +189,21 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
     if a.algebra is not s.algebra:
         raise AlgebraError("a and s live in different algebras")
     ring = a.algebra.ring
-    S = a.support() | s.support()
+    S = ring.label_set(a.support() | s.support())
     profile = []
     for radius in range(max_radius + 1):
         F = ball(ring, S, radius)
         dec = boundary_decomposition(ring, F, S, side="left")
-        fw = _weight(ring, F)
-        bw = _weight(ring, dec.boundary)
-        sw = _weight(ring, dec.symmetric_boundary)
-        profile.append(ProfileRow(
-            radius=radius, window_weight=fw, boundary_weight=bw,
-            symmetric_boundary_weight=sw, ratio=Fraction(sw, fw)))
-        if 2 * bw < fw:
+        row = _profile_row(ring, F, dec, radius)
+        profile.append(row)
+        if 2 * row.boundary_weight < row.window_weight:
             break
     else:
         return ExhaustionReport(
             ring=ring.tag, S=ring.sorted_labels(S), epsilon=Fraction(1, 2),
             max_radius=max_radius, strategy="ore-ball", profile=tuple(profile))
     # the counting guarantee behind the kernel
-    if not 2 * _weight(ring, dec.interior) > fw:
+    if not 2 * weighted_size(ring, dec.interior) > row.window_weight:
         raise RuntimeError("window bookkeeping is broken: 2|int| <= |F|")
 
     ra = _restricted_operator(MatrixOverPol.from_element(a), F, dec, "left")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fusion import (GroupFusionRing, _weight, boundary_decomposition,
+from .fusion import (GroupFusionRing, LabelSet, boundary_decomposition,
                      weighted_size)
 from .groups import CyclicProductGroup, HeisenbergGroup
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, algebra_for)
@@ -48,8 +48,8 @@ class QuotientMap:
     def push_label(self, u):
         return self.target.ring.normalize(u)
 
-    def push_set(self, F) -> frozenset:
-        return frozenset(self.push_label(u) for u in F)
+    def push_set(self, F) -> LabelSet:
+        return LabelSet(self.target.ring, map(self.push_label, F))
 
     def push_element(self, a: AlgebraElement) -> AlgebraElement:
         if a.algebra is not self.source:
@@ -147,15 +147,15 @@ def group_quotient_tower(source, moduli) -> QuotientTower:
     return QuotientTower(maps)
 
 
-def omega_set(ring, F, S) -> frozenset:
+def omega_set(ring, F, S) -> LabelSet:
     """Omega = F u S u union of supp(x * s) over x in F, s in S."""
     F = ring.label_set(F)
     S = ring.label_set(S)
     out = set(F) | set(S)
     for x in F:
         for s in S:
-            out.update(ring.product(x, s))
-    return frozenset(out)
+            out.update(ring._support(x, s))
+    return LabelSet(ring, out)
 
 
 def local_injectivity_check(qmap: QuotientMap, F) -> bool:
@@ -191,7 +191,7 @@ def haar_approx_sequence(a: AlgebraElement, tower: QuotientTower) -> HaarReport:
     if a.algebra is not tower.source:
         raise AlgebraError("element does not live in the tower source")
     h = a.haar()
-    marker_set = a.support() | {a.algebra.ring.unit}
+    marker_set = a.algebra.ring.label_set(a.support() | {a.algebra.ring.unit})
     values = []
     first_idx = None
     for idx, qmap in enumerate(tower):
@@ -260,11 +260,11 @@ def tower_kernel_dims(T: MatrixOverPol, tower: QuotientTower, F,
         raise AlgebraError("matrix does not live in the tower source")
     ring = T.algebra.ring
     F = _require_conj_closed(ring, F)
-    S = T.support()
+    S = ring.label_set(T.support())
     omega = omega_set(ring, F, S)
     dec = boundary_decomposition(ring, F, S, side=side)
     estimate = _estimate(T, F, dec, side)
-    bound = 2 * T.n * Fraction(_weight(ring, dec.boundary), _weight(ring, F))
+    bound = 2 * T.n * estimate.boundary_ratio
 
     def level(qmap: QuotientMap) -> LevelReport:
         injective = qmap.injective_on(omega)

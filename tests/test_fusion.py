@@ -125,6 +125,60 @@ def test_invalid_label_rejected_at_every_public_edge(edge, bad):
         call(bad)
 
 
+# a window is checked once, where it enters, and passes through the library
+# as a LabelSet of its ring after that
+
+@pytest.fixture
+def label_checks(monkeypatch):
+    """The labels passed to FusionRing.check_label from here on."""
+    from folnerlab.fusion import FusionRing
+
+    calls = []
+    check = FusionRing.check_label
+
+    def counting(ring, u):
+        calls.append(u)
+        return check(ring, u)
+
+    monkeypatch.setattr(FusionRing, "check_label", counting)
+    return calls
+
+
+def test_profile_checks_only_its_generators(label_checks):
+    from folnerlab import isoperimetric_profile
+
+    S = [(1, 0), (0, 1)]
+    isoperimetric_profile(Z2, S, 12)
+    assert len(label_checks) <= len(S)
+
+
+def test_kernel_estimate_checks_window_and_support_once(label_checks):
+    from folnerlab import MatrixOverPol, algebra_for, kernel_dim_estimate
+
+    A = algebra_for("group:Z^2")
+    T = MatrixOverPol.from_element(A.element({(0, 0): 3, (1, 0): -1, (0, 1): 2}))
+    F = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
+    label_checks.clear()
+    kernel_dim_estimate(T, F)
+    assert len(label_checks) == len(F) + len(T.support())
+
+
+def test_label_set_of_another_ring_is_checked_again():
+    S = [(1, 0), (0, 1)]
+    B = ball(Z2, S, 3)
+    Z4 = ring_from_tag("group:Z/4xZ/4")
+    reduced = {(i % 4, j % 4) for i, j in B}
+    assert len(reduced) < len(B)
+    assert weighted_size(Z4, B) == weighted_size(Z4, reduced) == len(reduced)
+    got, want = boundary_decomposition(Z4, B, S), boundary_decomposition(Z4, reduced, S)
+    for part in ("interior", "boundary", "coboundary", "symmetric_boundary"):
+        assert getattr(got, part) == getattr(want, part)
+    with pytest.raises(InvalidLabelError):
+        weighted_size(HEIS, B)
+    with pytest.raises(InvalidLabelError):
+        boundary_decomposition(HEIS, B, [(1, 0, 0)])
+
+
 # ---------------------------------------------------------------------------
 # weighted_size
 

@@ -407,7 +407,7 @@ def test_image_escaping_window_is_internal_error(algebra, F):
     F = ring.label_set(F)
     top = ring.sorted_labels(F)[-1]
     T = MatrixOverPol.from_element(algebra.one() + algebra.basis(top))
-    forged = BoundaryData(interior=F, boundary=(), coboundary=())
+    forged = BoundaryData(ring, interior=F, boundary=(), coboundary=())
     for side in ("right", "left"):
         with pytest.raises(RuntimeError, match="fusion inclusion violated"):
             _restricted_operator(T, F, forged, side)

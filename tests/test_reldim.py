@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from folnerlab import (AlgebraError, MatrixOverPol, algebra_for, ball,
-                       exact_mvn_dim_finite, full_mult_matrix, kernel_dim_estimate,
-                       relative_dimension, restricted_mult_matrix)
+                       exact_mvn_dim_finite, folner_search, full_mult_matrix,
+                       group_quotient_tower, kernel_dim_estimate,
+                       relative_dimension, restricted_mult_matrix,
+                       tower_kernel_dims)
 from folnerlab.polalg import _basis_triples
 from folnerlab.scalars import FLOAT
 
@@ -30,6 +32,23 @@ def box2(N):
 
 # ---------------------------------------------------------------------------
 # relative_dimension
+
+def _empty_window_calls():
+    T = MatrixOverPol.from_element(AZ2.one() - AZ2.group_element((1, 0)))
+    return {
+        "kernel_dim_estimate": lambda: kernel_dim_estimate(T, []),
+        "tower_kernel_dims": lambda: tower_kernel_dims(T, group_quotient_tower(AZ2, [2]), []),
+        "relative_dimension": lambda: relative_dimension(AZ2, [[]], []),
+        "folner_search": lambda: folner_search(AZ2.ring, [(1, 0)], 1, 3, windows=[[]]),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_empty_window_calls()))
+def test_empty_window_is_a_value_error(call):
+    # weighted counts divide by |F|; the empty window is bad input, not 0/0
+    with pytest.raises(ValueError, match="empty"):
+        _empty_window_calls()[call]()
+
 
 def test_relative_dimension_zero_and_full():
     F = list(range(-2, 3))
