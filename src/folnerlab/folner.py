@@ -22,10 +22,11 @@ from fractions import Fraction
 
 from .fusion import (FusionRing, ball, boundary_decomposition,
                      conjugation_closure, weighted_size)
+from .serialize import Report
 
 
 @dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(Report):
     radius: int
     window_weight: int
     boundary_weight: int
@@ -33,18 +34,11 @@ class ProfileRow:
     ratio: Fraction  # |bd^sym| / |F|
 
     def to_json(self) -> dict:
-        return {
-            "radius": self.radius,
-            "window_weight": self.window_weight,
-            "boundary_weight": self.boundary_weight,
-            "symmetric_boundary_weight": self.symmetric_boundary_weight,
-            "ratio": str(self.ratio),
-            "ratio_decimal": float(self.ratio),
-        }
+        return {**super().to_json(), "ratio_decimal": float(self.ratio)}
 
 
 @dataclass(frozen=True)
-class FolnerCertificate:
+class FolnerCertificate(Report):
     ring: str
     S: tuple
     epsilon: Fraction
@@ -54,37 +48,15 @@ class FolnerCertificate:
     strategy: str
     radius: int
 
-    def to_json(self) -> dict:
-        return {
-            "ring": self.ring,
-            "S": list(self.S),
-            "epsilon": str(self.epsilon),
-            "F": list(self.F),
-            "boundary_weight": self.boundary_weight,
-            "window_weight": self.window_weight,
-            "strategy": self.strategy,
-            "radius": self.radius,
-        }
-
 
 @dataclass(frozen=True)
-class ExhaustionReport:
+class ExhaustionReport(Report):
     ring: str
     S: tuple
     epsilon: Fraction
     max_radius: int
     strategy: str
     profile: tuple = field(default_factory=tuple)
-
-    def to_json(self) -> dict:
-        return {
-            "ring": self.ring,
-            "S": list(self.S),
-            "epsilon": str(self.epsilon),
-            "max_radius": self.max_radius,
-            "strategy": self.strategy,
-            "profile": [row.to_json() for row in self.profile],
-        }
 
 
 def folner_search(ring: FusionRing, S, epsilon, max_radius: int,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from . import cg, exactla
-from .fusion import (FusionRing, GroupFusionRing, InvalidLabelError,
+from .fusion import (FusionRing, GroupFusionRing, InvalidLabelError, LabelSet,
                      S3FusionRing, SU2FusionRing, boundary_decomposition,
                      ring_from_tag)
 from .scalars import EXACT, FLOAT, QQi, as_scalar, scalar_zero
@@ -96,24 +96,10 @@ class PolAlgebra:
     def element(self, terms=None) -> "AlgebraElement":
         """Build an element from {(label, i, j): coeff} (or {label: coeff},
         meaning matrix indices (1, 1))."""
-        coeffs = {}
-        for key, value in (terms or {}).items():
-            label, i, j = self._parse_key(key)
-            n = self.ring._dim(label)
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise AlgebraError(
-                    f"indices ({i},{j}) out of range for {label!r} (size {n})")
-            c = as_scalar(value, self.mode)
-            k = (label, i, j)
-            c = coeffs.get(k, scalar_zero(self.mode)) + c
-            if c:
-                coeffs[k] = c
-            elif k in coeffs:
-                del coeffs[k]
-        return AlgebraElement(self, coeffs)
+        return AlgebraElement(self, terms)
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
+        return AlgebraElement._trusted(self, {})
 
     def one(self) -> "AlgebraElement":
         return self.basis(self.ring.unit)
@@ -146,7 +132,7 @@ class PolAlgebra:
                         out[k] = v
                     elif k in out:
                         del out[k]
-            return AlgebraElement(self, out)
+            return AlgebraElement._trusted(self, out)
         if isinstance(ring, S3FusionRing):
             fa = self._s3_evaluate(a)
             fb = self._s3_evaluate(b)
@@ -170,7 +156,7 @@ class PolAlgebra:
                     if w:
                         key = (lc, p + 1, q + 1)
                         out[key] = out.get(key, 0j) + pre * w
-        return AlgebraElement(self, _trim_float(out))
+        return AlgebraElement._trusted(self, _trim_float(out))
 
     def _s3_evaluate(self, a):
         import numpy as np
@@ -195,7 +181,7 @@ class PolAlgebra:
                     c = acc * n / 6.0
                     if c:
                         out[(label, i, j)] = c
-        return AlgebraElement(self, _trim_float(out))
+        return AlgebraElement._trusted(self, _trim_float(out))
 
     # -- involution ------------------------------------------------------------
 
@@ -215,7 +201,7 @@ class PolAlgebra:
             for (la, i, j), c in a._coeffs.items():
                 sign = -1.0 if (j - i) % 2 else 1.0
                 out[(la, la + 2 - i, la + 2 - j)] = sign * c.conjugate()
-        return AlgebraElement(self, {k: v for k, v in out.items() if v})
+        return AlgebraElement._trusted(self, {k: v for k, v in out.items() if v})
 
     def __repr__(self):
         return f"<PolAlgebra {self.tag} ({self.mode})>"
@@ -243,15 +229,37 @@ class AlgebraElement:
     """Finitely supported coefficient vector over the matrix-coefficient basis.
 
     Values are immutable: arithmetic returns fresh elements. The constructor
-    trusts its coefficient map (canonical labels, indices in range, scalars
-    of the algebra's mode); ``PolAlgebra.element`` checks all three.
+    checks its terms {(label, i, j): coeff} (or {label: coeff}, meaning
+    indices (1, 1)): canonical labels, indices in range, scalars of the
+    algebra's mode. ``_trusted`` wraps a coefficient map that is already
+    all three, for the library's own arithmetic.
     """
 
     __slots__ = ("algebra", "_coeffs")
 
-    def __init__(self, algebra: PolAlgebra, coeffs: dict):
+    def __init__(self, algebra: PolAlgebra, terms=None):
+        coeffs = {}
+        for key, value in (terms or {}).items():
+            label, i, j = algebra._parse_key(key)
+            n = algebra.ring._dim(label)
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise AlgebraError(
+                    f"indices ({i},{j}) out of range for {label!r} (size {n})")
+            k = (label, i, j)
+            c = coeffs.get(k, scalar_zero(algebra.mode)) + as_scalar(value, algebra.mode)
+            if c:
+                coeffs[k] = c
+            elif k in coeffs:
+                del coeffs[k]
         self.algebra = algebra
         self._coeffs = coeffs
+
+    @classmethod
+    def _trusted(cls, algebra: PolAlgebra, coeffs: dict) -> "AlgebraElement":
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self._coeffs = coeffs
+        return self
 
     # -- views ------------------------------------------------------------
 
@@ -291,19 +299,19 @@ class AlgebraElement:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement._trusted(self.algebra, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {k: -v for k, v in self._coeffs.items()})
+        return AlgebraElement._trusted(self.algebra, {k: -v for k, v in self._coeffs.items()})
 
     def scale(self, c):
         c = as_scalar(c, self.algebra.mode)
         if not c:
             return self.algebra.zero()
-        return AlgebraElement(self.algebra, {k: v * c for k, v in self._coeffs.items()})
+        return AlgebraElement._trusted(self.algebra, {k: v * c for k, v in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -431,7 +439,7 @@ class RestrictedOperator:
             if self.algebra.mode == FLOAT:
                 c = complex(c) * math.sqrt(self.algebra.ring._dim(label))
             comps[comp][(label, i, j)] = c
-        return tuple(AlgebraElement(self.algebra, d) for d in comps)
+        return tuple(AlgebraElement._trusted(self.algebra, d) for d in comps)
 
     def __repr__(self):
         r, c = self.matrix.shape
@@ -565,4 +573,4 @@ def full_mult_matrix(T: MatrixOverPol, side: str = "right") -> RestrictedOperato
     ring = T.algebra.ring
     if not ring.is_finite:
         raise AlgebraError(f"ring {ring.tag} is infinite; use a window")
-    return restricted_mult_matrix(T, ring.irreducibles(), side=side)
+    return restricted_mult_matrix(T, LabelSet(ring, ring.irreducibles()), side=side)

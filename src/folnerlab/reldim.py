@@ -22,10 +22,11 @@ from . import exactla
 from .fusion import boundary_decomposition, weighted_size
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol,
                      _restricted_operator, full_mult_matrix)
+from .serialize import Report
 
 
 @dataclass(frozen=True)
-class DimensionEstimate:
+class DimensionEstimate(Report):
     """Certified interval [lower, upper] for a Murray-von Neumann dimension."""
 
     lower: Fraction
@@ -46,22 +47,6 @@ class DimensionEstimate:
 
     def width(self) -> Fraction:
         return self.upper - self.lower
-
-    def to_json(self) -> dict:
-        return {
-            "lower": str(self.lower),
-            "upper": str(self.upper),
-            "n": self.n,
-            "boundary_ratio": str(self.boundary_ratio),
-            "window_weight": self.window_weight,
-            "boundary_weight": self.boundary_weight,
-            "interior_weight": self.interior_weight,
-            "nullity": self.nullity,
-            "rank": self.rank,
-            "side": self.side,
-            "degenerate": self.degenerate,
-            "window": list(self.window),
-        }
 
 
 def _require_conj_closed(ring, F):
@@ -141,13 +126,6 @@ def _estimate(T: MatrixOverPol, F: frozenset, dec, side: str) -> DimensionEstima
     bw = weighted_size(ring, dec.boundary)
     iw = weighted_size(ring, dec.interior)
     n = T.n
-    window = ring.sorted_labels(F)
-    if not dec.interior:
-        return DimensionEstimate(
-            lower=Fraction(0), upper=Fraction(n), window=window, n=n,
-            boundary_ratio=Fraction(bw, fw), window_weight=fw,
-            boundary_weight=bw, interior_weight=0, nullity=0, rank=0,
-            side=side, degenerate=True)
     op = _restricted_operator(T, F, dec, side)
     rank, nullity = exactla.rank_nullity(op.matrix)
     lower = Fraction(nullity, fw)
@@ -156,9 +134,10 @@ def _estimate(T: MatrixOverPol, F: frozenset, dec, side: str) -> DimensionEstima
     if nullity + rank != n * iw:
         raise RuntimeError("rank-sum identity violated; kernel backend is broken")
     return DimensionEstimate(
-        lower=lower, upper=lower + n * ratio, window=window, n=n,
+        lower=lower, upper=lower + n * ratio, window=ring.sorted_labels(F), n=n,
         boundary_ratio=ratio, window_weight=fw, boundary_weight=bw,
-        interior_weight=iw, nullity=nullity, rank=rank, side=side)
+        interior_weight=iw, nullity=nullity, rank=rank, side=side,
+        degenerate=not dec.interior)
 
 
 def exact_mvn_dim_finite(T: MatrixOverPol, side: str = "right") -> Fraction:
@@ -170,4 +149,5 @@ def exact_mvn_dim_finite(T: MatrixOverPol, side: str = "right") -> Fraction:
         return Fraction(T.n)
     op = full_mult_matrix(T, side=side)
     _, nullity = exactla.rank_nullity(op.matrix)
-    return Fraction(nullity, weighted_size(ring, ring.irreducibles()))
+    # the columns span the whole coefficient space W^n of the finite ring
+    return Fraction(nullity, op.matrix.shape[1] // T.n)

@@ -5,6 +5,12 @@ with the shared label, fraction, scalar and term shapes),
 ``matrix.schema.json`` (an n x n grid of elements, whose algebra and mode
 must agree with the matrix's) and one file per subcommand report.
 
+Every report is a dataclass deriving from ``Report``, whose ``to_json`` has
+one key per field; a key computed from the fields (a ratio's decimal, a ring
+tag, a re-verification flag, a tower's quotient dimensions) is the only
+thing a report adds by hand. A new key therefore needs a field and a
+property in the report's schema.
+
 Labels are JSON integers (su2, Z, Z/m), integer arrays (product groups,
 Heisenberg) or strings (finite:S3). Exact scalars serialize as fraction
 strings and round-trip bit-exactly; serialization is canonical (sorted term
@@ -15,6 +21,7 @@ byte-for-byte for canonically formatted exact input.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 from .fusion import FusionRing, ring_from_tag
@@ -115,7 +122,40 @@ def element_from_json(obj: dict, algebra: PolAlgebra | None = None) -> AlgebraEl
             coeffs[key] = c
         elif key in coeffs:
             del coeffs[key]
-    return AlgebraElement(algebra, coeffs)
+    return AlgebraElement._trusted(algebra, coeffs)
+
+
+# -- reports -------------------------------------------------------------------
+
+class Report:
+    """Base of the report dataclasses: ``to_json`` has one key per field.
+
+    Fractions become strings, tuples lists, elements and scalars their
+    schema shapes, and nested reports their own ``to_json``. A computed key
+    is added by overriding ``to_json`` as ``{**super().to_json(), key: ...}``.
+    """
+
+    def to_json(self) -> dict:
+        return {f.name: _value_to_json(getattr(self, f.name)) for f in fields(self)}
+
+
+_PLAIN = frozenset({int, str, bool, float, type(None)})
+
+
+def _value_to_json(value):
+    if isinstance(value, tuple):
+        # windows of thousands of labels are the bulk of a report, so plain
+        # items skip the call
+        return [v if type(v) in _PLAIN else _value_to_json(v) for v in value]
+    if isinstance(value, Report):
+        return value.to_json()
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, AlgebraElement):
+        return element_to_json(value)
+    if isinstance(value, (QQi, complex)):
+        return scalar_to_json(value)
+    return value
 
 
 # -- matrices -------------------------------------------------------------------

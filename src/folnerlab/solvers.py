@@ -35,6 +35,7 @@ from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol,
                      _restricted_operator, restricted_mult_matrix)
 from .reldim import DimensionEstimate, kernel_dim_estimate
 from .scalars import EXACT
+from .serialize import Report
 
 FLOAT_ZERO_TOL = 1e-9
 
@@ -47,7 +48,7 @@ def _vanishes(x: AlgebraElement) -> bool:
 
 
 @dataclass(frozen=True)
-class ZeroDivisorCertificate:
+class ZeroDivisorCertificate(Report):
     a: AlgebraElement
     witness: AlgebraElement
     side: str          # "left": a * witness = 0; "right": witness * a = 0
@@ -59,38 +60,20 @@ class ZeroDivisorCertificate:
         return _vanishes(a * b if self.side == "left" else b * a)
 
     def to_json(self) -> dict:
-        from .serialize import element_to_json, label_to_json
-
-        ring = self.a.algebra.ring
-        return {
-            "ring": ring.tag,
-            "side": self.side,
-            "radius": self.radius,
-            "window": [label_to_json(ring, u) for u in self.window],
-            "a": element_to_json(self.a),
-            "witness": element_to_json(self.witness),
-            "verified": self.product_is_zero(),
-        }
+        return {**super().to_json(), "ring": self.a.algebra.tag,
+                "verified": self.product_is_zero()}
 
 
 @dataclass(frozen=True)
-class NotFoundReport:
+class NotFoundReport(Report):
     ring: str          # ring tag of the searched element
     side: str
     max_radius: int
     kernel_dims: tuple  # (radius, Fraction) pairs, all zero so far
 
-    def to_json(self) -> dict:
-        return {
-            "ring": self.ring,
-            "side": self.side,
-            "max_radius": self.max_radius,
-            "kernel_dims": [[r, str(d)] for r, d in self.kernel_dims],
-        }
-
 
 @dataclass(frozen=True)
-class OrePair:
+class OrePair(Report):
     a: AlgebraElement
     s: AlgebraElement
     t: AlgebraElement
@@ -102,19 +85,8 @@ class OrePair:
         return self.a * self.t - self.s * self.b
 
     def to_json(self) -> dict:
-        from .serialize import element_to_json, label_to_json
-
-        ring = self.a.algebra.ring
-        return {
-            "ring": ring.tag,
-            "radius": self.radius,
-            "window": [label_to_json(ring, u) for u in self.window],
-            "a": element_to_json(self.a),
-            "s": element_to_json(self.s),
-            "t": element_to_json(self.t),
-            "b": element_to_json(self.b),
-            "residual_zero": _vanishes(self.residual()),
-        }
+        return {**super().to_json(), "ring": self.a.algebra.tag,
+                "residual_zero": _vanishes(self.residual())}
 
 
 def _mult_side(side: str) -> str:

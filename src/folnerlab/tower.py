@@ -28,6 +28,7 @@ from .groups import CyclicProductGroup, HeisenbergGroup
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, algebra_for)
 from .reldim import (DimensionEstimate, _estimate, _require_conj_closed,
                      exact_mvn_dim_finite)
+from .serialize import Report
 
 
 class QuotientMap:
@@ -63,7 +64,7 @@ class QuotientMap:
                 out[k] = v
             elif k in out:
                 del out[k]
-        return AlgebraElement(self.target, out)
+        return AlgebraElement._trusted(self.target, out)
 
     def push_matrix(self, T: MatrixOverPol) -> MatrixOverPol:
         return MatrixOverPol(self.target,
@@ -164,21 +165,11 @@ def local_injectivity_check(qmap: QuotientMap, F) -> bool:
 
 
 @dataclass(frozen=True)
-class HaarReport:
+class HaarReport(Report):
     values: tuple                 # per-level Haar values of the pushforward
     source_value: object          # h(a)
     first_injective_index: int | None  # w.r.t. supp(a) u {e}
     eventually_equal: bool
-
-    def to_json(self) -> dict:
-        from .serialize import scalar_to_json
-
-        return {
-            "values": [scalar_to_json(v) for v in self.values],
-            "source_value": scalar_to_json(self.source_value),
-            "first_injective_index": self.first_injective_index,
-            "eventually_equal": self.eventually_equal,
-        }
 
 
 def haar_approx_sequence(a: AlgebraElement, tower: QuotientTower) -> HaarReport:
@@ -207,7 +198,7 @@ def haar_approx_sequence(a: AlgebraElement, tower: QuotientTower) -> HaarReport:
 
 
 @dataclass(frozen=True)
-class LevelReport:
+class LevelReport(Report):
     target: str
     omega_injective: bool
     quotient_dim: Fraction
@@ -217,21 +208,9 @@ class LevelReport:
     transport_ok: bool | None
     transport_gap: Fraction | None
 
-    def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "omega_injective": self.omega_injective,
-            "quotient_dim": str(self.quotient_dim),
-            "support_pushforward_ok": self.support_pushforward_ok,
-            "boundary_pushforward_ok": self.boundary_pushforward_ok,
-            "weighted_sizes_ok": self.weighted_sizes_ok,
-            "transport_ok": self.transport_ok,
-            "transport_gap": None if self.transport_gap is None else str(self.transport_gap),
-        }
-
 
 @dataclass(frozen=True)
-class TowerReport:
+class TowerReport(Report):
     ring: str
     window: tuple
     omega: tuple
@@ -240,15 +219,8 @@ class TowerReport:
     levels: tuple
 
     def to_json(self) -> dict:
-        return {
-            "ring": self.ring,
-            "window": list(self.window),
-            "omega": list(self.omega),
-            "source_estimate": self.source_estimate.to_json(),
-            "transport_bound": str(self.transport_bound),
-            "levels": [lv.to_json() for lv in self.levels],
-            "quotient_dims": [str(lv.quotient_dim) for lv in self.levels],
-        }
+        return {**super().to_json(),
+                "quotient_dims": [str(lv.quotient_dim) for lv in self.levels]}
 
 
 def tower_kernel_dims(T: MatrixOverPol, tower: QuotientTower, F,

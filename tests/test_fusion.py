@@ -163,6 +163,17 @@ def test_kernel_estimate_checks_window_and_support_once(label_checks):
     assert len(label_checks) == len(F) + len(T.support())
 
 
+def test_finite_kernel_dim_checks_only_the_support(label_checks):
+    from folnerlab import MatrixOverPol, algebra_for, exact_mvn_dim_finite
+
+    A = algebra_for("group:heisenberg/3")
+    T = MatrixOverPol.from_element(
+        A.element({(0, 0, 0): 2, (1, 0, 0): -1, (0, 1, 0): -1}))
+    label_checks.clear()
+    assert exact_mvn_dim_finite(T) > 0  # the sum of all group elements
+    assert len(label_checks) <= len(T.support())
+
+
 def test_label_set_of_another_ring_is_checked_again():
     S = [(1, 0), (0, 1)]
     B = ball(Z2, S, 3)

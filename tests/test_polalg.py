@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from folnerlab import (AlgebraError, MatrixOverPol, algebra_for, ball,
+from folnerlab import (AlgebraElement, AlgebraError, InvalidLabelError,
+                       MatrixOverPol, algebra_for, ball,
                        boundary_decomposition, full_mult_matrix, rank_nullity,
                        restricted_mult_matrix, support, weighted_size)
 from folnerlab.scalars import EXACT, QQi
@@ -318,6 +319,19 @@ def test_index_range_validation():
         AS3.basis("sgn", 1, 2)
     with pytest.raises(AlgebraError):
         ASU2.basis(1, 3, 1)
+
+
+@pytest.mark.parametrize("terms, error", [
+    ({((1, 2, 3), 1, 1): QQi(1)}, InvalidLabelError),
+    ({((1, 0), 1, 2): QQi(1)}, AlgebraError),
+    ({((1, 0), 1, 1): 0.5}, TypeError),
+], ids=["label", "index", "float-scalar"])
+def test_raw_constructor_checks_its_terms(terms, error):
+    # a malformed label must not reach the trusted group law, which would
+    # multiply (1, 2, 3) by (1, 0) into a term at (2, 2)
+    with pytest.raises(error):
+        AlgebraElement(AZ2, terms)
+    assert AlgebraElement(AZ2, {(1, 0): 2}) == AZ2.group_element({(1, 0): 2})
 
 
 def test_matrix_requires_square_and_same_algebra():

@@ -23,6 +23,7 @@ AZ2 = algebra_for("group:Z^2")
 AZMOD2 = algebra_for("group:Z/2")
 AZ6 = algebra_for("group:Z/6")
 AS3 = algebra_for("finite:S3")
+ASU2 = algebra_for("su2")
 AHEIS = algebra_for("group:heisenberg")
 
 
@@ -124,10 +125,19 @@ def test_estimate_z2_laplacian_box():
 
 
 def test_estimate_degenerate_interior():
+    # an empty interior is a 0-column operator: rank 0, nullity 0, [0, n]
     a = AZ.group_element({0: 1, 9: 1})
-    est = kernel_dim_estimate(MatrixOverPol.from_element(a), [-1, 0, 1])
-    assert est.degenerate
-    assert (est.lower, est.upper) == (0, 1)
+    su2 = ASU2.element({0: 1.0, 1: -0.25, (1, 2, 1): 0.5j})
+    lap = AZ2.group_element({(0, 0): 4, (1, 0): -1, (-1, 0): -1})
+    cases = [(MatrixOverPol.from_element(a), [-1, 0, 1]),
+             (MatrixOverPol.from_element(su2), [0]),
+             (MatrixOverPol(AZ2, [[lap, AZ2.zero()], [AZ2.one(), lap]]), [(0, 0)])]
+    for T, F in cases:
+        est = kernel_dim_estimate(T, F)
+        assert est.degenerate
+        assert (est.lower, est.upper) == (0, T.n)
+        assert (est.rank, est.nullity, est.interior_weight) == (0, 0, 0)
+        assert est.boundary_weight == est.window_weight
 
 
 def test_estimate_rejects_zero_and_open_window():
