@@ -15,14 +15,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .folner import FolnerCertificate, folner_search, isoperimetric_profile
+from .folner import ExhaustionReport, FolnerCertificate, folner_search, isoperimetric_profile
 from .fusion import ball, check_axioms, ring_from_tag
 from .polalg import AlgebraError, MatrixOverPol
-from .reldim import kernel_dim_estimate
+from .reldim import DimensionEstimate, kernel_dim_estimate
 from .serialize import (SchemaError, canonical_dumps, label_from_json,
                         label_to_json, load_element)
-from .solvers import OrePair, ZeroDivisorCertificate, ore_pair, zero_divisor_search
-from .tower import group_quotient_tower, tower_kernel_dims
+from .solvers import NotFoundReport, OrePair, ZeroDivisorCertificate, ore_pair, zero_divisor_search
+from .tower import TowerReport, group_quotient_tower, tower_kernel_dims
 
 OK, NEGATIVE, ERROR = 0, 2, 1
 
@@ -71,8 +71,7 @@ def _load_matrix(path: str, ring_tag: str | None) -> MatrixOverPol:
 
 
 def _window_from_radius(T: MatrixOverPol, radius: int) -> frozenset:
-    ring = T.algebra.ring
-    return ball(ring, T.support(), radius)
+    return ball(T.algebra.ring, T.support(), radius)
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -84,17 +83,31 @@ def _emit(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+# the payload kind and exit code of each report a subcommand can return
+_REPORTS = {
+    FolnerCertificate: ("folner_certificate", OK),
+    ExhaustionReport: ("exhaustion_report", NEGATIVE),
+    DimensionEstimate: ("dimension_estimate", OK),
+    ZeroDivisorCertificate: ("zero_divisor_certificate", OK),
+    NotFoundReport: ("not_found_report", NEGATIVE),
+    OrePair: ("ore_pair", OK),
+    TowerReport: ("tower_report", OK),
+}
+
+
+def _emit_report(report, out_path: str | None, **extra) -> int:
+    kind, code = _REPORTS[type(report)]
+    _emit({"kind": kind, **extra, **report.to_json()}, out_path)
+    return code
+
+
 # -- subcommand runners -----------------------------------------------------
 
 def _run_folner(args) -> int:
     ring = ring_from_tag(args.ring)
     S = _labels_flag(ring, args.S)
-    result = folner_search(ring, S, _fraction_flag(args.epsilon), args.max_radius)
-    if isinstance(result, FolnerCertificate):
-        _emit({"kind": "folner_certificate", **result.to_json()}, args.out)
-        return OK
-    _emit({"kind": "exhaustion_report", **result.to_json()}, args.out)
-    return NEGATIVE
+    return _emit_report(folner_search(ring, S, _fraction_flag(args.epsilon), args.max_radius),
+                        args.out)
 
 
 def _run_profile(args) -> int:
@@ -116,10 +129,8 @@ def _run_profile(args) -> int:
 def _run_kernel_dim(args) -> int:
     T = _load_matrix(args.matrix, args.ring)
     F = _window_from_radius(T, args.window)
-    est = kernel_dim_estimate(T, F, side=args.side)
-    _emit({"kind": "dimension_estimate", "ring": T.algebra.tag, **est.to_json()},
-          args.out)
-    return OK
+    return _emit_report(kernel_dim_estimate(T, F, side=args.side), args.out,
+                        ring=T.algebra.tag)
 
 
 def _run_zero_divisor(args) -> int:
@@ -127,12 +138,8 @@ def _run_zero_divisor(args) -> int:
     if T.n != 1:
         raise CliError("zero-divisor search expects a single element, not a matrix")
     a = T.entries[0][0]
-    result = zero_divisor_search(a, side=args.side, max_radius=args.max_radius)
-    if isinstance(result, ZeroDivisorCertificate):
-        _emit({"kind": "zero_divisor_certificate", **result.to_json()}, args.out)
-        return OK
-    _emit({"kind": "not_found_report", **result.to_json()}, args.out)
-    return NEGATIVE
+    return _emit_report(zero_divisor_search(a, side=args.side, max_radius=args.max_radius),
+                        args.out)
 
 
 def _run_ore_pair(args) -> int:
@@ -142,16 +149,9 @@ def _run_ore_pair(args) -> int:
         raise CliError("ore-pair expects single elements, not matrices")
     if Ta.algebra is not Ts.algebra:
         raise CliError("a and s live in different algebras")
-    result = ore_pair(Ta.entries[0][0], Ts.entries[0][0],
-                      max_radius=args.max_radius, prefer_ore=args.prefer_ore)
-    if isinstance(result, OrePair):
-        _emit({"kind": "ore_pair", **result.to_json()}, args.out)
-        return OK
-    if isinstance(result, ZeroDivisorCertificate):
-        _emit({"kind": "zero_divisor_certificate", **result.to_json()}, args.out)
-        return OK
-    _emit({"kind": "exhaustion_report", **result.to_json()}, args.out)
-    return NEGATIVE
+    return _emit_report(ore_pair(Ta.entries[0][0], Ts.entries[0][0],
+                                 max_radius=args.max_radius, prefer_ore=args.prefer_ore),
+                        args.out)
 
 
 def _run_tower(args) -> int:
@@ -159,9 +159,7 @@ def _run_tower(args) -> int:
     moduli = [int(m) for m in args.moduli.split(",") if m]
     tower = group_quotient_tower(T.algebra, moduli)
     F = _window_from_radius(T, args.window)
-    report = tower_kernel_dims(T, tower, F, side=args.side)
-    _emit({"kind": "tower_report", **report.to_json()}, args.out)
-    return OK
+    return _emit_report(tower_kernel_dims(T, tower, F, side=args.side), args.out)
 
 
 def _run_check_axioms(args) -> int:

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fusion import (FusionRing, ball, boundary_decomposition,
-                     conjugation_closure, weighted_size)
+from .fusion import (BoundaryData, FusionRing, ball, boundary_decomposition,
+                     conjugation_closure)
 from .serialize import Report
 
 
@@ -86,7 +86,7 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
             break
         if not F:
             raise ValueError(f"window {radius} is empty")
-        row = _profile_row(ring, F, boundary_decomposition(ring, F, S), radius)
+        row = _profile_row(boundary_decomposition(ring, F, S), radius)
         profile.append(row)
         # strict inequality, cross-multiplied integers
         if row.symmetric_boundary_weight * epsilon.denominator \
@@ -105,13 +105,12 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
                             strategy=strategy, profile=tuple(profile))
 
 
-def _profile_row(ring, F, dec, radius) -> ProfileRow:
-    """The row of window F, given its boundary decomposition ``dec``."""
-    fw = weighted_size(ring, F)
-    bw = weighted_size(ring, dec.boundary)
-    sw = weighted_size(ring, dec.symmetric_boundary)
-    return ProfileRow(radius=radius, window_weight=fw, boundary_weight=bw,
-                      symmetric_boundary_weight=sw, ratio=Fraction(sw, fw))
+def _profile_row(dec: BoundaryData, radius: int) -> ProfileRow:
+    """The row of the window of the boundary decomposition ``dec``."""
+    return ProfileRow(radius=radius, window_weight=dec.window_weight,
+                      boundary_weight=dec.boundary_weight,
+                      symmetric_boundary_weight=dec.symmetric_boundary_weight,
+                      ratio=Fraction(dec.symmetric_boundary_weight, dec.window_weight))
 
 
 def isoperimetric_profile(ring: FusionRing, S, max_radius: int) -> list[ProfileRow]:
@@ -124,7 +123,7 @@ def isoperimetric_profile(ring: FusionRing, S, max_radius: int) -> list[ProfileR
     rows = []
     for k in range(max_radius + 1):
         F = ball(ring, S, k)
-        rows.append(_profile_row(ring, F, boundary_decomposition(ring, F, S), k))
+        rows.append(_profile_row(boundary_decomposition(ring, F, S), k))
     return rows
 
 

@@ -250,15 +250,23 @@ def ring_from_tag(tag: str) -> FusionRing:
 # weighted isoperimetry
 
 class BoundaryData:
-    """The four sets of a boundary decomposition, as LabelSets of ``ring``."""
+    """A window F = interior u boundary with its boundary decomposition, as
+    LabelSets of ``ring``, and the weights |F|, |bd F|, |int F|, |bd^sym F|,
+    each summed over its own set once, here. Nothing is sorted."""
 
-    __slots__ = ("interior", "boundary", "coboundary", "symmetric_boundary")
+    __slots__ = ("window", "interior", "boundary", "coboundary", "symmetric_boundary",
+                 "window_weight", "boundary_weight", "interior_weight", "symmetric_boundary_weight")
 
     def __init__(self, ring, interior, boundary, coboundary):
         self.interior = LabelSet(ring, interior)
         self.boundary = LabelSet(ring, boundary)
         self.coboundary = LabelSet(ring, coboundary)
+        self.window = LabelSet(ring, self.interior | self.boundary)
         self.symmetric_boundary = LabelSet(ring, self.boundary | self.coboundary)
+        self.window_weight = weighted_size(ring, self.window)
+        self.boundary_weight = weighted_size(ring, self.boundary)
+        self.interior_weight = weighted_size(ring, self.interior)
+        self.symmetric_boundary_weight = weighted_size(ring, self.symmetric_boundary)
 
 
 def weighted_size(ring: FusionRing, F: Iterable) -> int:

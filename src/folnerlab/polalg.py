@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 
 from . import cg, exactla
-from .fusion import (FusionRing, GroupFusionRing, InvalidLabelError, LabelSet,
-                     S3FusionRing, SU2FusionRing, boundary_decomposition,
+from .fusion import (BoundaryData, FusionRing, GroupFusionRing, InvalidLabelError,
+                     LabelSet, S3FusionRing, SU2FusionRing, boundary_decomposition,
                      ring_from_tag)
 from .scalars import EXACT, FLOAT, QQi, as_scalar, scalar_zero
 
@@ -273,8 +273,8 @@ class AlgebraElement:
         label = self.algebra.ring.check_label(label)
         return self._coeffs.get((label, i, j), scalar_zero(self.algebra.mode))
 
-    def support(self) -> frozenset:
-        return frozenset(label for (label, _, _) in self._coeffs)
+    def support(self) -> LabelSet:
+        return LabelSet(self.algebra.ring, (label for (label, _, _) in self._coeffs))
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -365,16 +365,14 @@ class AlgebraElement:
         return f"<{self.algebra.tag}: " + (" + ".join(parts) or "0") + ">"
 
 
-def support(x) -> frozenset:
-    """Support of an element or of a matrix over the algebra."""
+def support(x) -> LabelSet:
+    """Support of an element or of a matrix over the algebra, as a
+    LabelSet of its ring: the labels were checked when the terms were."""
     if isinstance(x, AlgebraElement):
         return x.support()
     if isinstance(x, MatrixOverPol):
-        out = set()
-        for row in x.entries:
-            for e in row:
-                out |= e.support()
-        return frozenset(out)
+        return LabelSet(x.algebra.ring, (label for row in x.entries for e in row
+                                         for (label, _, _) in e._coeffs))
     raise TypeError(f"no support for {type(x).__name__}")
 
 
@@ -394,7 +392,7 @@ class MatrixOverPol:
         self.n = n
         self.entries = entries
 
-    def support(self) -> frozenset:
+    def support(self) -> LabelSet:
         return support(self)
 
     def is_zero(self) -> bool:
@@ -413,7 +411,8 @@ class RestrictedOperator:
 
     The domain is W_{int}^n over the side-matched interior of F, the codomain
     W_F^n; both carry the orthonormal basis {sqrt(n_a) u^a_{ij}}, ordered
-    component-major then by (label, row, col).
+    component-major then by (label, row, col). ``window`` and ``interior``
+    are the sorted label tuples of F and of its interior.
     """
 
     def __init__(self, algebra, n, side, window, interior,
@@ -448,13 +447,21 @@ class RestrictedOperator:
 
 
 def _basis_triples(ring, labels):
+    """(label, i, j) of each basis element, in the order of ``labels``."""
     out = []
-    for label in ring.sorted_labels(labels):
+    for label in labels:
         n = ring._dim(label)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 out.append((label, i, j))
     return out
+
+
+def _check_operator(T: MatrixOverPol, side: str) -> None:
+    if T.is_zero():
+        raise AlgebraError("restricted multiplication needs a nonzero matrix")
+    if side not in ("right", "left"):
+        raise AlgebraError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",
@@ -467,30 +474,28 @@ def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",
     fusion-support inclusion makes it impossible, so it raises RuntimeError.
     """
     ring = T.algebra.ring
-    if T.is_zero():
-        raise AlgebraError("restricted multiplication needs a nonzero matrix")
-    if side not in ("right", "left"):
-        raise AlgebraError(f"side must be 'left' or 'right', got {side!r}")
+    _check_operator(T, side)
     supp = T.support()
-    S = frozenset(supp) if S is None else ring.label_set(S)
+    S = supp if S is None else ring.label_set(S)
     if not supp <= S:
         raise AlgebraError("S must contain the support of T")
-    F = ring.label_set(F)
-    return _restricted_operator(T, F, boundary_decomposition(ring, F, S, side=side), side)
+    return _restricted_operator(T, boundary_decomposition(ring, F, S, side=side), side)
 
 
-def _restricted_operator(T: MatrixOverPol, F: frozenset, dec,
+def _restricted_operator(T: MatrixOverPol, dec: BoundaryData,
                          side: str) -> RestrictedOperator:
-    """restricted_mult_matrix on checked labels, given the boundary
-    decomposition ``dec`` of F over S on ``side``, so that callers which
-    already hold it do not compute it again."""
+    """restricted_mult_matrix on the window of ``dec``, the boundary
+    decomposition of F over S on ``side``, so that callers which already
+    hold it do not compute it again. The window and the interior are
+    sorted once, here; the operator hands those tuples on."""
     algebra = T.algebra
     ring = algebra.ring
-    interior = dec.interior
+    window = ring.sorted_labels(dec.window)
+    interior = ring.sorted_labels(dec.interior)
     n = T.n
 
     dom_triples = _basis_triples(ring, interior)
-    cod_triples = _basis_triples(ring, F)
+    cod_triples = _basis_triples(ring, window)
     domain_basis = tuple((comp, *t) for comp in range(n) for t in dom_triples)
     codomain_basis = tuple((comp, *t) for comp in range(n) for t in cod_triples)
     if isinstance(ring, GroupFusionRing):
@@ -501,8 +506,8 @@ def _restricted_operator(T: MatrixOverPol, F: frozenset, dec,
         entries, (len(codomain_basis), len(domain_basis)), algebra.mode)
     return RestrictedOperator(
         algebra, n, side,
-        window=ring.sorted_labels(F),
-        interior=ring.sorted_labels(interior),
+        window=window,
+        interior=interior,
         domain_basis=domain_basis,
         codomain_basis=codomain_basis,
         matrix=matrix,
@@ -549,9 +554,10 @@ def _multiply_entries(T, side, domain_basis, codomain_basis) -> dict:
     algebra = T.algebra
     ring = algebra.ring
     cod_index = {key: r for r, key in enumerate(codomain_basis)}
+    one = as_scalar(1, algebra.mode)
     entries = {}
     for col, (comp, label, i, j) in enumerate(domain_basis):
-        x = algebra.basis(label, i, j)
+        x = AlgebraElement._trusted(algebra, {(label, i, j): one})
         for out_comp in range(T.n):
             t = T.entries[comp][out_comp] if side == "right" else T.entries[out_comp][comp]
             if t.is_zero():
@@ -573,4 +579,6 @@ def full_mult_matrix(T: MatrixOverPol, side: str = "right") -> RestrictedOperato
     ring = T.algebra.ring
     if not ring.is_finite:
         raise AlgebraError(f"ring {ring.tag} is infinite; use a window")
-    return restricted_mult_matrix(T, LabelSet(ring, ring.irreducibles()), side=side)
+    _check_operator(T, side)
+    # the whole ring is its own interior: nothing leaves it
+    return _restricted_operator(T, BoundaryData(ring, ring.irreducibles(), (), ()), side)

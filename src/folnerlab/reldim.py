@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla
-from .fusion import boundary_decomposition, weighted_size
-from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol,
+from .fusion import BoundaryData, boundary_decomposition, weighted_size
+from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, _basis_triples,
                      _restricted_operator, full_mult_matrix)
 from .serialize import Report
 
@@ -65,10 +65,8 @@ def coordinates_in_window(algebra, vectors, F, n: int):
     coordinate rows of the right length pass through unchanged. A component
     supported outside F is a precondition error.
     """
-    from .polalg import _basis_triples
-
     ring = algebra.ring
-    triples = _basis_triples(ring, F)
+    triples = _basis_triples(ring, ring.sorted_labels(F))
     index = {(comp, *t): k for comp in range(n)
              for k, t in enumerate(triples, start=comp * len(triples))}
     dim = n * len(triples)
@@ -115,29 +113,25 @@ def kernel_dim_estimate(T: MatrixOverPol, F, side: str = "right") -> DimensionEs
         raise AlgebraError("kernel estimate needs a nonzero matrix")
     ring = T.algebra.ring
     F = _require_conj_closed(ring, F)
-    return _estimate(T, F, boundary_decomposition(ring, F, T.support(), side=side), side)
+    return _estimate(T, boundary_decomposition(ring, F, T.support(), side=side), side)
 
 
-def _estimate(T: MatrixOverPol, F: frozenset, dec, side: str) -> DimensionEstimate:
-    """kernel_dim_estimate on a checked conjugation-closed window F, given
-    the boundary decomposition ``dec`` of F over supp(T) on ``side``."""
-    ring = T.algebra.ring
-    fw = weighted_size(ring, F)
-    bw = weighted_size(ring, dec.boundary)
-    iw = weighted_size(ring, dec.interior)
-    n = T.n
-    op = _restricted_operator(T, F, dec, side)
+def _estimate(T: MatrixOverPol, dec: BoundaryData, side: str) -> DimensionEstimate:
+    """kernel_dim_estimate on the window of ``dec``, the boundary
+    decomposition of a conjugation-closed F over supp(T) on ``side``; the
+    weights are read off ``dec`` and the sorted window off the operator."""
+    op = _restricted_operator(T, dec, side)
     rank, nullity = exactla.rank_nullity(op.matrix)
-    lower = Fraction(nullity, fw)
-    ratio = Fraction(bw, fw)
     # dimension theorem on W_{int}^n, in weighted counts
-    if nullity + rank != n * iw:
+    if nullity + rank != T.n * dec.interior_weight:
         raise RuntimeError("rank-sum identity violated; kernel backend is broken")
+    lower = Fraction(nullity, dec.window_weight)
+    ratio = Fraction(dec.boundary_weight, dec.window_weight)
     return DimensionEstimate(
-        lower=lower, upper=lower + n * ratio, window=ring.sorted_labels(F), n=n,
-        boundary_ratio=ratio, window_weight=fw, boundary_weight=bw,
-        interior_weight=iw, nullity=nullity, rank=rank, side=side,
-        degenerate=not dec.interior)
+        lower=lower, upper=lower + T.n * ratio, window=op.window, n=T.n,
+        boundary_ratio=ratio, window_weight=dec.window_weight,
+        boundary_weight=dec.boundary_weight, interior_weight=dec.interior_weight,
+        nullity=nullity, rank=rank, side=side, degenerate=not dec.interior)
 
 
 def exact_mvn_dim_finite(T: MatrixOverPol, side: str = "right") -> Fraction:

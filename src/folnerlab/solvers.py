@@ -30,7 +30,7 @@ import numpy as np
 
 from . import exactla
 from .folner import ExhaustionReport, _profile_row
-from .fusion import ball, boundary_decomposition, weighted_size
+from .fusion import LabelSet, ball, boundary_decomposition
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol,
                      _restricted_operator, restricted_mult_matrix)
 from .reldim import DimensionEstimate, kernel_dim_estimate
@@ -95,12 +95,12 @@ def _mult_side(side: str) -> str:
     return side
 
 
-def _zero_divisor_certificate(a: AlgebraElement, witness: AlgebraElement,
-                              side: str, F, radius: int) -> ZeroDivisorCertificate:
-    """The certificate that ``witness`` != 0 annihilates ``a`` on ``side``,
-    re-verified by a full multiplication."""
+def _zero_divisor_certificate(a: AlgebraElement, witness: AlgebraElement, side: str,
+                              window: tuple, radius: int) -> ZeroDivisorCertificate:
+    """The certificate that ``witness`` != 0 annihilates ``a`` on ``side``
+    over the sorted ``window``, re-verified by a full multiplication."""
     cert = ZeroDivisorCertificate(a=a, witness=witness, side=side,
-                                  window=a.algebra.ring.sorted_labels(F), radius=radius)
+                                  window=window, radius=radius)
     if witness.is_zero() or not cert.product_is_zero():
         raise RuntimeError("zero-divisor witness failed verification")
     return cert
@@ -115,7 +115,7 @@ def zero_divisor_search(a: AlgebraElement, side: str = "left",
     if a.is_zero():
         raise AlgebraError("zero element is a trivial zero-divisor; need a != 0")
     algebra = a.algebra
-    S = algebra.ring.label_set(a.support())
+    S = a.support()
     T = MatrixOverPol.from_element(a)
     dims = []
     for radius in range(max_radius + 1):
@@ -124,7 +124,7 @@ def zero_divisor_search(a: AlgebraElement, side: str = "left",
         kernel = exactla.nullspace_basis(op.matrix)
         if kernel:
             (b,) = op.elements_from_coords(kernel[0])
-            return _zero_divisor_certificate(a, b, side, F, radius)
+            return _zero_divisor_certificate(a, b, side, op.window, radius)
         dims.append((radius, Fraction(0)))
     return NotFoundReport(ring=algebra.tag, side=side, max_radius=max_radius,
                           kernel_dims=tuple(dims))
@@ -136,14 +136,9 @@ def kernel_dim_sequence(a: AlgebraElement, side: str = "left",
     _mult_side(side)
     if a.is_zero():
         raise AlgebraError("need a != 0")
-    algebra = a.algebra
-    S = algebra.ring.label_set(a.support())
     T = MatrixOverPol.from_element(a)
-    out = []
-    for radius in radii:
-        F = ball(algebra.ring, S, radius)
-        out.append((radius, kernel_dim_estimate(T, F, side=side)))
-    return out
+    return [(radius, kernel_dim_estimate(T, ball(a.algebra.ring, a.support(), radius), side=side))
+            for radius in radii]
 
 
 def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
@@ -161,12 +156,11 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
     if a.algebra is not s.algebra:
         raise AlgebraError("a and s live in different algebras")
     ring = a.algebra.ring
-    S = ring.label_set(a.support() | s.support())
+    S = LabelSet(ring, a.support() | s.support())
     profile = []
     for radius in range(max_radius + 1):
-        F = ball(ring, S, radius)
-        dec = boundary_decomposition(ring, F, S, side="left")
-        row = _profile_row(ring, F, dec, radius)
+        dec = boundary_decomposition(ring, ball(ring, S, radius), S, side="left")
+        row = _profile_row(dec, radius)
         profile.append(row)
         if 2 * row.boundary_weight < row.window_weight:
             break
@@ -175,11 +169,11 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
             ring=ring.tag, S=ring.sorted_labels(S), epsilon=Fraction(1, 2),
             max_radius=max_radius, strategy="ore-ball", profile=tuple(profile))
     # the counting guarantee behind the kernel
-    if not 2 * weighted_size(ring, dec.interior) > row.window_weight:
+    if not 2 * dec.interior_weight > dec.window_weight:
         raise RuntimeError("window bookkeeping is broken: 2|int| <= |F|")
 
-    ra = _restricted_operator(MatrixOverPol.from_element(a), F, dec, "left")
-    rs = _restricted_operator(MatrixOverPol.from_element(s), F, dec, "left")
+    ra = _restricted_operator(MatrixOverPol.from_element(a), dec, "left")
+    rs = _restricted_operator(MatrixOverPol.from_element(s), dec, "left")
     kernel = exactla.nullspace_basis(_minus_block(ra.matrix, rs.matrix))
     if not kernel:
         raise RuntimeError("column surplus did not produce a kernel; backend broken")
@@ -192,8 +186,8 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
     else:
         # t = 0 forces s b = 0 with b != 0, an explicit certificate that s
         # is a zero divisor (impossible when the algebra is a domain)
-        return _zero_divisor_certificate(s, b, "left", F, radius)
-    pair = OrePair(a=a, s=s, t=t, b=b, window=ring.sorted_labels(F), radius=radius)
+        return _zero_divisor_certificate(s, b, "left", ra.window, radius)
+    pair = OrePair(a=a, s=s, t=t, b=b, window=ra.window, radius=radius)
     if not _vanishes(pair.residual()):
         raise RuntimeError("ore pair failed residual verification")
     return pair

@@ -133,9 +133,6 @@ def group_quotient_tower(source, moduli) -> QuotientTower:
     moduli = [int(m) for m in moduli]
     if any(m < 2 for m in moduli):
         raise AlgebraError("moduli must be >= 2")
-    for low, high in zip(moduli, moduli[1:]):
-        if high % low:
-            raise AlgebraError(f"moduli must form a divisibility chain, {low} does not divide {high}")
     maps = []
     for m in moduli:
         g = ring.group
@@ -182,7 +179,7 @@ def haar_approx_sequence(a: AlgebraElement, tower: QuotientTower) -> HaarReport:
     if a.algebra is not tower.source:
         raise AlgebraError("element does not live in the tower source")
     h = a.haar()
-    marker_set = a.algebra.ring.label_set(a.support() | {a.algebra.ring.unit})
+    marker_set = LabelSet(a.algebra.ring, a.support() | {a.algebra.ring.unit})
     values = []
     first_idx = None
     for idx, qmap in enumerate(tower):
@@ -232,10 +229,10 @@ def tower_kernel_dims(T: MatrixOverPol, tower: QuotientTower, F,
         raise AlgebraError("matrix does not live in the tower source")
     ring = T.algebra.ring
     F = _require_conj_closed(ring, F)
-    S = ring.label_set(T.support())
+    S = T.support()
     omega = omega_set(ring, F, S)
     dec = boundary_decomposition(ring, F, S, side=side)
-    estimate = _estimate(T, F, dec, side)
+    estimate = _estimate(T, dec, side)
     bound = 2 * T.n * estimate.boundary_ratio
 
     def level(qmap: QuotientMap) -> LevelReport:
@@ -267,7 +264,7 @@ def tower_kernel_dims(T: MatrixOverPol, tower: QuotientTower, F,
                            boundary_pushforward_ok=bd_ok, weighted_sizes_ok=sizes_ok,
                            transport_ok=transport_ok, transport_gap=gap)
 
-    return TowerReport(ring=ring.tag, window=ring.sorted_labels(F),
+    return TowerReport(ring=ring.tag, window=estimate.window,
                        omega=ring.sorted_labels(omega),
                        source_estimate=estimate, transport_bound=bound,
                        levels=tuple(level(qmap) for qmap in tower.maps))

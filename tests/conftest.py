@@ -39,6 +39,22 @@ def rng():
     return random.Random(20240811)
 
 
+@pytest.fixture
+def label_checks(monkeypatch):
+    """The labels passed to FusionRing.check_label from here on."""
+    from folnerlab.fusion import FusionRing
+
+    calls = []
+    check = FusionRing.check_label
+
+    def counting(ring, u):
+        calls.append(u)
+        return check(ring, u)
+
+    monkeypatch.setattr(FusionRing, "check_label", counting)
+    return calls
+
+
 def random_element(algebra, rng, labels, max_terms=4, complex_coeffs=True):
     """Seeded random nonzero element with support inside ``labels``."""
     labels = list(labels)

@@ -126,23 +126,8 @@ def test_invalid_label_rejected_at_every_public_edge(edge, bad):
 
 
 # a window is checked once, where it enters, and passes through the library
-# as a LabelSet of its ring after that
-
-@pytest.fixture
-def label_checks(monkeypatch):
-    """The labels passed to FusionRing.check_label from here on."""
-    from folnerlab.fusion import FusionRing
-
-    calls = []
-    check = FusionRing.check_label
-
-    def counting(ring, u):
-        calls.append(u)
-        return check(ring, u)
-
-    monkeypatch.setattr(FusionRing, "check_label", counting)
-    return calls
-
+# as a LabelSet of its ring after that; an element's support is a LabelSet
+# from the start (label_checks is in conftest.py)
 
 def test_profile_checks_only_its_generators(label_checks):
     from folnerlab import isoperimetric_profile
@@ -152,15 +137,26 @@ def test_profile_checks_only_its_generators(label_checks):
     assert len(label_checks) <= len(S)
 
 
-def test_kernel_estimate_checks_window_and_support_once(label_checks):
-    from folnerlab import MatrixOverPol, algebra_for, kernel_dim_estimate
+# (terms of T, window) per ring, for the check counts of operator and estimate
+CHECKED_OPERATORS = {
+    "group:Z^2": ({(0, 0): 3, (1, 0): -1, (0, 1): 2},
+                  [(i, j) for i in range(-3, 4) for j in range(-3, 4)]),
+    "su2": ({(1, 1, 2): 1, (2, 3, 1): 1, 0: -1}, list(range(9))),
+    "finite:S3": ({("std", 1, 2): 1, "sgn": 1}, ["triv", "sgn", "std"]),
+}
 
-    A = algebra_for("group:Z^2")
-    T = MatrixOverPol.from_element(A.element({(0, 0): 3, (1, 0): -1, (0, 1): 2}))
-    F = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
-    label_checks.clear()
-    kernel_dim_estimate(T, F)
-    assert len(label_checks) == len(F) + len(T.support())
+
+@pytest.mark.parametrize("tag", sorted(CHECKED_OPERATORS))
+def test_kernel_estimate_checks_window_and_support_once(tag, label_checks):
+    from folnerlab import (MatrixOverPol, algebra_for, kernel_dim_estimate,
+                           restricted_mult_matrix)
+
+    terms, F = CHECKED_OPERATORS[tag]
+    T = MatrixOverPol.from_element(algebra_for(tag).element(terms))
+    for run in (lambda: restricted_mult_matrix(T, F), lambda: kernel_dim_estimate(T, F)):
+        label_checks.clear()
+        run()
+        assert len(label_checks) == len(F)  # the support is not checked again
 
 
 def test_finite_kernel_dim_checks_only_the_support(label_checks):
@@ -245,6 +241,26 @@ def test_boundary_partition_property(rng):
             assert not (dec.interior & dec.boundary)
             assert not (dec.coboundary & F)
             assert dec.symmetric_boundary == dec.boundary | dec.coboundary
+
+
+@pytest.mark.parametrize("ring,F,S", [
+    pytest.param(SU2, range(7), [1, 2], id="su2"),
+    pytest.param(S3, ["triv", "std"], ["std"], id="S3"),
+    pytest.param(Z2, ball(Z2, [(1, 0), (0, 1)], 3), [(1, 0), (1, 1)], id="Z^2"),
+    pytest.param(HEIS, ball(HEIS, [(1, 0, 0), (0, 1, 0)], 3), [(1, 0, 0), (0, 1, 0)],
+                 id="heisenberg"),
+])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_boundary_record_carries_window_and_weights(ring, F, S, side):
+    # the record's window is interior u boundary, and its weights are those
+    # of its sets, computed where it is built
+    dec = boundary_decomposition(ring, F, S, side=side)
+    assert dec.window == frozenset(F)
+    assert dec.window_weight == weighted_size(ring, F)
+    assert dec.boundary_weight == weighted_size(ring, dec.boundary)
+    assert dec.interior_weight == weighted_size(ring, dec.interior)
+    assert dec.symmetric_boundary_weight == weighted_size(ring, dec.symmetric_boundary)
+    assert dec.boundary and dec.interior
 
 
 def test_coboundary_frobenius_against_direct_complement(rng):

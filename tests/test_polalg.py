@@ -423,4 +423,4 @@ def test_image_escaping_window_is_internal_error(algebra, F):
     forged = BoundaryData(ring, interior=F, boundary=(), coboundary=())
     for side in ("right", "left"):
         with pytest.raises(RuntimeError, match="fusion inclusion violated"):
-            _restricted_operator(T, F, forged, side)
+            _restricted_operator(T, forged, side)

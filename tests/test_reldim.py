@@ -110,6 +110,45 @@ def test_estimate_z_one_minus_g():
         assert not est.degenerate
 
 
+def test_estimate_sorts_window_and_interior_once(monkeypatch):
+    # the operator sorts both sets once and the estimate reuses its window
+    from folnerlab.fusion import FusionRing
+
+    sorted_sizes = []
+    sort = FusionRing.sorted_labels
+
+    def recording(ring, labels):
+        out = sort(ring, labels)
+        sorted_sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(FusionRing, "sorted_labels", recording)
+    lap = AZ2.group_element({(0, 0): 4, (1, 0): -1, (-1, 0): -1,
+                             (0, 1): -1, (0, -1): -1})
+    est = kernel_dim_estimate(MatrixOverPol.from_element(lap), box2(4))
+    assert sorted(sorted_sizes) == [7 * 7, 9 * 9]
+    assert est.window == tuple(sorted(box2(4)))
+
+
+def test_finite_dimension_decomposes_no_window(monkeypatch):
+    # the whole finite ring is its own interior; nothing is decomposed
+    import folnerlab.fusion
+    import folnerlab.polalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("boundary_decomposition called")
+
+    for module in (folnerlab.fusion, folnerlab.polalg):
+        monkeypatch.setattr(module, "boundary_decomposition", forbidden)
+    A = algebra_for("group:Z/4xZ/4")
+    p = A.group_element({(0, 0): 2, (1, 0): -1, (0, 1): -1})
+    assert exact_mvn_dim_finite(MatrixOverPol.from_element(p)) == Fraction(1, 16)
+    # 1 + sgn vanishes on the three odd permutations
+    one_plus_sgn = AS3.one() + AS3.basis("sgn")
+    assert exact_mvn_dim_finite(MatrixOverPol.from_element(one_plus_sgn),
+                                side="left") == Fraction(1, 2)
+
+
 def test_estimate_z2_projection_full_window():
     p = AZMOD2.group_element({0: Fraction(1, 2), 1: Fraction(1, 2)})
     est = kernel_dim_estimate(MatrixOverPol.from_element(p), [0, 1])

@@ -161,6 +161,17 @@ def test_ore_heisenberg_generators():
     assert 2 * weighted_size(ring, dec.interior) > weighted_size(ring, pair.window)
 
 
+def test_ore_pair_checks_no_label(label_checks):
+    # supports are LabelSets, and so is their union: nothing is re-checked
+    one = AHEIS.one()
+    x = AHEIS.group_element((1, 0, 0))
+    y = AHEIS.group_element((0, 1, 0))
+    a, s = one - x, one - y
+    label_checks.clear()
+    assert isinstance(ore_pair(a, s, max_radius=10), OrePair)
+    assert label_checks == []
+
+
 def test_ore_on_non_domain_still_verifies():
     e = AZXZ2.group_element((0, 0))
     t = AZXZ2.group_element((0, 1))
