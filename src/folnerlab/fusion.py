@@ -250,9 +250,8 @@ def ring_from_tag(tag: str) -> FusionRing:
 # weighted isoperimetry
 
 class BoundaryData:
-    """A window F = interior u boundary with its boundary decomposition, as
-    LabelSets of ``ring``, and the weights |F|, |bd F|, |int F|, |bd^sym F|,
-    each summed over its own set once, here. Nothing is sorted."""
+    """A window F = interior u boundary and its boundary decomposition, as LabelSets
+    of ``ring``, with |F|, |bd F|, |int F|, |bd^sym F| each summed once, unsorted."""
 
     __slots__ = ("window", "interior", "boundary", "coboundary", "symmetric_boundary",
                  "window_weight", "boundary_weight", "interior_weight", "symmetric_boundary_weight")

@@ -447,7 +447,6 @@ class RestrictedOperator:
 
 
 def _basis_triples(ring, labels):
-    """(label, i, j) of each basis element, in the order of ``labels``."""
     out = []
     for label in labels:
         n = ring._dim(label)
@@ -482,16 +481,17 @@ def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",
     return _restricted_operator(T, boundary_decomposition(ring, F, S, side=side), side)
 
 
-def _restricted_operator(T: MatrixOverPol, dec: BoundaryData,
-                         side: str) -> RestrictedOperator:
-    """restricted_mult_matrix on the window of ``dec``, the boundary
-    decomposition of F over S on ``side``, so that callers which already
-    hold it do not compute it again. The window and the interior are
-    sorted once, here; the operator hands those tuples on."""
+def _restricted_operator(T: MatrixOverPol, dec: BoundaryData, side: str) -> RestrictedOperator:
+    """restricted_mult_matrix on a boundary decomposition ``dec`` over S on
+    ``side`` that the caller holds; its window and interior are sorted here."""
+    ring = T.algebra.ring
+    return _operator_on(T, ring.sorted_labels(dec.window), ring.sorted_labels(dec.interior), side)
+
+
+def _operator_on(T: MatrixOverPol, window: tuple, interior: tuple, side: str) -> RestrictedOperator:
+    """Multiplication by T from W_{interior}^n to W_{window}^n, on sorted labels."""
     algebra = T.algebra
     ring = algebra.ring
-    window = ring.sorted_labels(dec.window)
-    interior = ring.sorted_labels(dec.interior)
     n = T.n
 
     dom_triples = _basis_triples(ring, interior)
@@ -581,4 +581,5 @@ def full_mult_matrix(T: MatrixOverPol, side: str = "right") -> RestrictedOperato
         raise AlgebraError(f"ring {ring.tag} is infinite; use a window")
     _check_operator(T, side)
     # the whole ring is its own interior: nothing leaves it
-    return _restricted_operator(T, BoundaryData(ring, ring.irreducibles(), (), ()), side)
+    labels = tuple(ring.irreducibles())
+    return _operator_on(T, labels, labels, side)

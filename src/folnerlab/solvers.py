@@ -30,7 +30,7 @@ import numpy as np
 
 from . import exactla
 from .folner import ExhaustionReport, _profile_row
-from .fusion import LabelSet, ball, boundary_decomposition
+from .fusion import LabelSet, ball, boundary_decomposition, weighted_size
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol,
                      _restricted_operator, restricted_mult_matrix)
 from .reldim import DimensionEstimate, kernel_dim_estimate
@@ -159,7 +159,8 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
     S = LabelSet(ring, a.support() | s.support())
     profile = []
     for radius in range(max_radius + 1):
-        dec = boundary_decomposition(ring, ball(ring, S, radius), S, side="left")
+        F = ball(ring, S, radius)
+        dec = boundary_decomposition(ring, F, S, side="left")
         row = _profile_row(dec, radius)
         profile.append(row)
         if 2 * row.boundary_weight < row.window_weight:
@@ -168,8 +169,8 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
         return ExhaustionReport(
             ring=ring.tag, S=ring.sorted_labels(S), epsilon=Fraction(1, 2),
             max_radius=max_radius, strategy="ore-ball", profile=tuple(profile))
-    # the counting guarantee behind the kernel
-    if not 2 * dec.interior_weight > dec.window_weight:
+    # the counting guarantee behind the kernel, against the ball itself
+    if not 2 * dec.interior_weight > weighted_size(ring, F):
         raise RuntimeError("window bookkeeping is broken: 2|int| <= |F|")
 
     ra = _restricted_operator(MatrixOverPol.from_element(a), dec, "left")

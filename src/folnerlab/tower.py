@@ -128,8 +128,8 @@ def group_quotient_tower(source, moduli) -> QuotientTower:
     """Built-in towers: Z^d -> (Z/m)^d, Z x Z/2 -> (Z/m) x Z/2, Heisenberg mod m."""
     algebra = algebra_for(source) if isinstance(source, str) else source
     ring = algebra.ring
-    if not isinstance(ring, GroupFusionRing):
-        raise AlgebraError("towers are implemented for group providers")
+    if not isinstance(ring, GroupFusionRing) or ring.is_finite:
+        raise AlgebraError("towers are implemented for infinite group providers")
     moduli = [int(m) for m in moduli]
     if any(m < 2 for m in moduli):
         raise AlgebraError("moduli must be >= 2")

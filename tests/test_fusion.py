@@ -147,7 +147,7 @@ CHECKED_OPERATORS = {
 
 
 @pytest.mark.parametrize("tag", sorted(CHECKED_OPERATORS))
-def test_kernel_estimate_checks_window_and_support_once(tag, label_checks):
+def test_operator_and_estimate_check_only_the_window(tag, label_checks):
     from folnerlab import (MatrixOverPol, algebra_for, kernel_dim_estimate,
                            restricted_mult_matrix)
 

@@ -172,6 +172,26 @@ def test_ore_pair_checks_no_label(label_checks):
     assert label_checks == []
 
 
+def test_ore_bookkeeping_compares_against_the_ball(monkeypatch):
+    # a decomposition that lost the boundary of its ball must not pass the
+    # counting check: |F| is weighed on the ball, not on the record
+    import folnerlab.solvers as solvers
+    from folnerlab.fusion import BoundaryData
+
+    real = solvers.boundary_decomposition
+
+    def forged(ring, F, S, side):
+        dec = real(ring, F, S, side=side)
+        if not dec.interior:
+            return dec
+        return BoundaryData(ring, dec.interior, (), dec.coboundary)
+
+    monkeypatch.setattr(solvers, "boundary_decomposition", forged)
+    one = AZ2.one()
+    with pytest.raises(RuntimeError, match="bookkeeping"):
+        ore_pair(one - AZ2.group_element((1, 0)), one - AZ2.group_element((0, 1)))
+
+
 def test_ore_on_non_domain_still_verifies():
     e = AZXZ2.group_element((0, 0))
     t = AZXZ2.group_element((0, 1))

@@ -106,6 +106,9 @@ def test_tower_requires_divisibility_chain():
         group_quotient_tower(AZ, [4, 6])
     with pytest.raises(AlgebraError):
         group_quotient_tower(algebra_for("finite:S3"), [2, 4])
+    # a finite source has no modulus to reduce, so no chain to check
+    with pytest.raises(AlgebraError):
+        group_quotient_tower(algebra_for("group:Z/4xZ/4"), [2, 3])
 
 
 def test_tower_composition_identity_on_omega():
