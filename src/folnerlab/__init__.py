@@ -10,7 +10,7 @@ from .exactla import ScalarMatrix, nullspace_basis, rank_nullity
 from .folner import (ExhaustionReport, FolnerCertificate, ProfileRow,
                      folner_search, isoperimetric_profile, verify_certificate)
 from .fusion import (BoundaryData, FusionRing, InvalidLabelError, ball,
-                     boundary_decomposition, check_axioms, conjugate_set,
+                     ball_boundary, boundary_decomposition, check_axioms, conjugate_set,
                      conjugation_closure, ring_from_tag, weighted_size)
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, PolAlgebra,
                      RestrictedOperator, algebra_for, full_mult_matrix,
@@ -36,7 +36,7 @@ __all__ = [
     "OrePair", "PolAlgebra", "ProfileRow", "QQi", "QuotientMap",
     "QuotientTower", "RestrictedOperator", "ScalarMatrix", "SchemaError",
     "TowerReport", "ZeroDivisorCertificate", "algebra_for", "ball",
-    "boundary_decomposition", "check_axioms", "conjugate_set",
+    "ball_boundary", "boundary_decomposition", "check_axioms", "conjugate_set",
     "conjugation_closure", "dump_element", "element_from_json",
     "element_to_json", "exact_mvn_dim_finite", "folner_search",
     "full_mult_matrix", "group_quotient_tower", "haar_approx_sequence",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fusion import (BoundaryData, FusionRing, ball, boundary_decomposition,
+from .fusion import (BoundaryData, FusionRing, ball_boundary, boundary_decomposition,
                      conjugation_closure)
 from .serialize import Report
 
@@ -77,23 +77,22 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
         raise ValueError("S must be non-empty")
     strategy = "ball" if windows is None else "user"
     if windows is None:
-        candidates = ((k, ball(ring, S, k)) for k in range(max_radius + 1))
+        decompositions = (ball_boundary(ring, S, k) for k in range(max_radius + 1))
     else:
-        candidates = ((k, conjugation_closure(ring, W)) for k, W in enumerate(windows))
+        decompositions = (boundary_decomposition(ring, conjugation_closure(ring, W), S)
+                          for W in windows)
     profile = []
-    for radius, F in candidates:
-        if windows is not None and radius > max_radius:
-            break
-        if not F:
+    for radius, dec in zip(range(max_radius + 1), decompositions):
+        if not dec.window:
             raise ValueError(f"window {radius} is empty")
-        row = _profile_row(boundary_decomposition(ring, F, S), radius)
+        row = _profile_row(dec, radius)
         profile.append(row)
         # strict inequality, cross-multiplied integers
         if row.symmetric_boundary_weight * epsilon.denominator \
                 < epsilon.numerator * row.window_weight:
             cert = FolnerCertificate(
                 ring=ring.tag, S=ring.sorted_labels(S), epsilon=epsilon,
-                F=ring.sorted_labels(F),
+                F=ring.sorted_labels(dec.window),
                 boundary_weight=row.symmetric_boundary_weight,
                 window_weight=row.window_weight,
                 strategy=strategy, radius=radius)
@@ -120,11 +119,7 @@ def isoperimetric_profile(ring: FusionRing, S, max_radius: int) -> list[ProfileR
     S = ring.label_set(S)
     if not S:
         raise ValueError("S must be non-empty")
-    rows = []
-    for k in range(max_radius + 1):
-        F = ball(ring, S, k)
-        rows.append(_profile_row(boundary_decomposition(ring, F, S), k))
-    return rows
+    return [_profile_row(ball_boundary(ring, S, k), k) for k in range(max_radius + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +136,8 @@ def _weight_by_loop(ring, labels) -> int:
 
 def verify_certificate(ring: FusionRing, cert: FolnerCertificate) -> bool:
     """Recompute both sides of the inequality from the ring data alone."""
+    if any(ring.check_label(u) != u for u in (*cert.F, *cert.S)):
+        return False
     F = set(cert.F)
     S = set(cert.S)
     if not S or {ring.conj(u) for u in F} != F:

@@ -13,6 +13,8 @@ finite S are
 with the symmetric boundary adding the outer boundary bd_S(F^c). The outer
 boundary is computed without touching the infinite complement via Frobenius
 reciprocity: bd_S(F^c) = (U_{w in F, v in S} supp(w x conj(v))) \\ F.
+A ball window B_r is decomposed from its outer shell B_r \\ B_{r-1} alone
+(``ball_boundary``); any other window is decomposed in full.
 
 Three provider families are built in:
 
@@ -251,7 +253,8 @@ def ring_from_tag(tag: str) -> FusionRing:
 
 class BoundaryData:
     """A window F = interior u boundary and its boundary decomposition, as LabelSets
-    of ``ring``, with |F|, |bd F|, |int F|, |bd^sym F| each summed once, unsorted."""
+    of ``ring``. The interior, boundary and coboundary are each summed once,
+    unsorted; |F| and |bd^sym F| add up disjoint parts."""
 
     __slots__ = ("window", "interior", "boundary", "coboundary", "symmetric_boundary",
                  "window_weight", "boundary_weight", "interior_weight", "symmetric_boundary_weight")
@@ -261,11 +264,13 @@ class BoundaryData:
         self.boundary = LabelSet(ring, boundary)
         self.coboundary = LabelSet(ring, coboundary)
         self.window = LabelSet(ring, self.interior | self.boundary)
+        if not self.interior.isdisjoint(self.boundary) or not self.coboundary.isdisjoint(self.window):
+            raise ValueError("interior, boundary and coboundary must be disjoint")
         self.symmetric_boundary = LabelSet(ring, self.boundary | self.coboundary)
-        self.window_weight = weighted_size(ring, self.window)
         self.boundary_weight = weighted_size(ring, self.boundary)
         self.interior_weight = weighted_size(ring, self.interior)
-        self.symmetric_boundary_weight = weighted_size(ring, self.symmetric_boundary)
+        self.window_weight = self.interior_weight + self.boundary_weight
+        self.symmetric_boundary_weight = self.boundary_weight + weighted_size(ring, self.coboundary)
 
 
 def weighted_size(ring: FusionRing, F: Iterable) -> int:
@@ -296,6 +301,28 @@ def boundary_decomposition(ring: FusionRing, F: Iterable, S: Iterable,
     shortcut, so the infinite complement is never enumerated.
     """
     F = ring.label_set(F)
+    return _decompose(ring, F, F, S, side)
+
+
+def ball_boundary(ring: FusionRing, S: Iterable, radius: int,
+                  side: str = "right") -> BoundaryData:
+    """``boundary_decomposition(ring, ball(ring, S, radius), S, side)``, from
+    the outer shell B_r \\ B_{r-1} alone.
+
+    S lies in B_1, so supp(u x v) and supp(v x u) lie in B_r for every u in
+    B_{r-1} and v in S, and likewise for conj(v): B_{r-1} is interior on
+    either side, and its Frobenius reach stays inside B_r.
+    """
+    S = ring.label_set(S)
+    F = ball(ring, S, radius)
+    shell = F - ball(ring, S, radius - 1) if radius else F
+    return _decompose(ring, F, shell, S, side)
+
+
+def _decompose(ring: FusionRing, F: LabelSet, edge: Iterable, S: Iterable,
+               side: str) -> BoundaryData:
+    """The decomposition of the checked window F, where every label of F
+    outside ``edge`` is interior and reaches no label outside F."""
     S = ring.label_set(S)
     if not S:
         raise ValueError("boundary decomposition needs a non-empty S")
@@ -307,18 +334,16 @@ def boundary_decomposition(ring: FusionRing, F: Iterable, S: Iterable,
         def supp(u, v):
             return ring._support(v, u)
 
-    interior = {u for u in F if all(w in F for v in S for w in supp(u, v))}
-    boundary = F - interior
+    boundary = {u for u in edge if any(w not in F for v in S for w in supp(u, v))}
     # Frobenius: u in bd_S(F^c) iff u not in F and some supp(u x v) meets F,
     # iff u lies in supp(w x conj(v)) for some w in F, v in S (right side);
     # mirrored to supp(conj(v) x w) on the left.
     conj_S = [ring._conj(v) for v in S]
     reach = set()
-    for w in F:
+    for w in edge:
         for vb in conj_S:
             reach.update(supp(w, vb))
-    coboundary = reach - F
-    return BoundaryData(ring, interior, boundary, coboundary)
+    return BoundaryData(ring, F - boundary, boundary, reach - F)
 
 
 def ball(ring: FusionRing, S: Iterable, radius: int) -> LabelSet:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import exactla
 from .folner import ExhaustionReport, _profile_row
-from .fusion import LabelSet, ball, boundary_decomposition, weighted_size
+from .fusion import LabelSet, ball, ball_boundary, weighted_size
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol,
                      _restricted_operator, restricted_mult_matrix)
 from .reldim import DimensionEstimate, kernel_dim_estimate
@@ -160,7 +160,7 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
     profile = []
     for radius in range(max_radius + 1):
         F = ball(ring, S, radius)
-        dec = boundary_decomposition(ring, F, S, side="left")
+        dec = ball_boundary(ring, S, radius, side="left")
         row = _profile_row(dec, radius)
         profile.append(row)
         if 2 * row.boundary_weight < row.window_weight:

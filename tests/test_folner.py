@@ -1,5 +1,6 @@
 """Folner search, isoperimetric profiles, independent re-validation."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,14 @@ def test_verifier_rejects_corrupted_certificates():
         F=tuple(range(0, 21)), boundary_weight=2, window_weight=21,
         strategy="user", radius=0)
     assert not verify_certificate(Z, not_closed)
+
+
+def test_verifier_rejects_non_canonical_labels():
+    Z6 = ring_from_tag("group:Z/6")
+    cert = folner_search(Z6, [1], Fraction(1, 2), 5)
+    assert verify_certificate(Z6, cert)
+    assert not verify_certificate(Z6, replace(cert, S=(7,)))
+    assert not verify_certificate(Z6, replace(cert, F=cert.F[:-1] + (cert.F[-1] + 6,)))
 
 
 def test_every_emitted_certificate_revalidates():

@@ -3,10 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from folnerlab import (InvalidLabelError, ball, boundary_decomposition,
-                       check_axioms, conjugate_set, conjugation_closure,
-                       ring_from_tag, weighted_size)
+from folnerlab import (BoundaryData, InvalidLabelError, ball, ball_boundary,
+                       boundary_decomposition, check_axioms, conjugate_set,
+                       conjugation_closure, isoperimetric_profile, ring_from_tag,
+                       weighted_size)
 
 SU2 = ring_from_tag("su2")
 Z = ring_from_tag("group:Z")
@@ -309,6 +312,78 @@ def test_left_side_differs_on_heisenberg():
         assert all(set(HEIS.product(u, v)) <= F for v in S)
     for u in dec_l.interior:
         assert all(set(HEIS.product(v, u)) <= F for v in S)
+
+
+def test_record_rejects_overlapping_parts():
+    # |F| and |bd^sym F| are sums over the parts, which needs them disjoint
+    with pytest.raises(ValueError, match="disjoint"):
+        BoundaryData(Z, [0, 1], [1, 2], [3])
+    with pytest.raises(ValueError, match="disjoint"):
+        BoundaryData(Z, [0, 1], [2], [2, 3])
+
+
+# ---------------------------------------------------------------------------
+# ball_boundary: the ball's record from its outer shell
+
+def _assert_same_record(got, want):
+    for name in BoundaryData.__slots__:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def _assert_shell_matches_full(ring, S, max_radius):
+    for radius in range(max_radius + 1):
+        for side in ("right", "left"):
+            _assert_same_record(ball_boundary(ring, S, radius, side=side),
+                                boundary_decomposition(ring, ball(ring, S, radius), S, side=side))
+
+
+@pytest.mark.parametrize("ring,S,max_radius", [
+    pytest.param(Z2, [(1, 0), (0, 1)], 6, id="Z^2"),
+    pytest.param(HEIS, [(1, 0, 0), (0, 1, 0)], 4, id="heisenberg"),
+    pytest.param(HEIS, [(1, 0, 0), (0, 1, 0), (1, 1, 1)], 3, id="heisenberg-three"),
+    pytest.param(SU2, [1], 6, id="su2-1"),
+    pytest.param(SU2, [2, 3], 6, id="su2-23"),
+    pytest.param(S3, ["std"], 3, id="S3"),
+    pytest.param(Z6, [1], 5, id="Z/6-saturating"),
+    pytest.param(Z2, [(0, 0), (1, 0), (1, 1)], 4, id="Z^2-with-unit"),
+    pytest.param(HEIS, [(0, 0, 0), (0, 1, 0)], 3, id="heisenberg-with-unit"),
+])
+def test_ball_boundary_matches_full_decomposition(ring, S, max_radius):
+    _assert_shell_matches_full(ring, S, max_radius)
+
+
+def _labels(ring):
+    if ring is HEIS:
+        return st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-1, 1))
+    if ring is ZXZ2:
+        return st.tuples(st.integers(-2, 2), st.integers(0, 1))
+    return st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ball_boundary_matches_full_decomposition_on_random_S(data):
+    ring = data.draw(st.sampled_from((Z2, ZXZ2, HEIS)))
+    S = data.draw(st.lists(_labels(ring), min_size=1, max_size=3, unique=True))
+    _assert_shell_matches_full(ring, S, 3 if ring is HEIS else 5)
+
+
+def test_profile_tests_only_the_shell(monkeypatch):
+    # one interior test and one Frobenius reach step per shell label and
+    # generator; the ball itself is cached per (ring, S), so it is grown
+    # first and its own products are not counted
+    S, radius = [(1, 0), (0, 1)], 30
+    shell_labels = len(ball(Z2, S, radius))  # the shells B_r \ B_{r-1} partition B_30
+    real, calls = Z2._support, []
+
+    def counting(u, v):
+        calls.append(None)
+        return real(u, v)
+
+    monkeypatch.setattr(Z2, "_support", counting)
+    rows = isoperimetric_profile(Z2, S, radius)
+    assert rows[-1].window_weight == shell_labels
+    assert 0 < len(calls) <= 2 * len(S) * shell_labels
 
 
 # ---------------------------------------------------------------------------

@@ -178,15 +178,15 @@ def test_ore_bookkeeping_compares_against_the_ball(monkeypatch):
     import folnerlab.solvers as solvers
     from folnerlab.fusion import BoundaryData
 
-    real = solvers.boundary_decomposition
+    real = solvers.ball_boundary
 
-    def forged(ring, F, S, side):
-        dec = real(ring, F, S, side=side)
+    def forged(ring, S, radius, side):
+        dec = real(ring, S, radius, side=side)
         if not dec.interior:
             return dec
         return BoundaryData(ring, dec.interior, (), dec.coboundary)
 
-    monkeypatch.setattr(solvers, "boundary_decomposition", forged)
+    monkeypatch.setattr(solvers, "ball_boundary", forged)
     one = AZ2.one()
     with pytest.raises(RuntimeError, match="bookkeeping"):
         ore_pair(one - AZ2.group_element((1, 0)), one - AZ2.group_element((0, 1)))
