@@ -18,7 +18,7 @@ from fractions import Fraction
 from .folner import ExhaustionReport, FolnerCertificate, folner_search, isoperimetric_profile
 from .fusion import ball, check_axioms, ring_from_tag
 from .polalg import AlgebraError, MatrixOverPol
-from .reldim import DimensionEstimate, kernel_dim_estimate
+from .reldim import DimensionEstimate, _ball_estimate
 from .serialize import (SchemaError, canonical_dumps, label_from_json,
                         label_to_json, load_element)
 from .solvers import NotFoundReport, OrePair, ZeroDivisorCertificate, ore_pair, zero_divisor_search
@@ -68,10 +68,6 @@ def _load_matrix(path: str, ring_tag: str | None) -> MatrixOverPol:
     if ring_tag and ring_from_tag(ring_tag) is not obj.algebra.ring:
         raise CliError(f"--ring {ring_tag} does not match file algebra {obj.algebra.tag}")
     return obj
-
-
-def _window_from_radius(T: MatrixOverPol, radius: int) -> frozenset:
-    return ball(T.algebra.ring, T.support(), radius)
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -128,8 +124,7 @@ def _run_profile(args) -> int:
 
 def _run_kernel_dim(args) -> int:
     T = _load_matrix(args.matrix, args.ring)
-    F = _window_from_radius(T, args.window)
-    return _emit_report(kernel_dim_estimate(T, F, side=args.side), args.out,
+    return _emit_report(_ball_estimate(T, args.window, args.side), args.out,
                         ring=T.algebra.tag)
 
 
@@ -158,7 +153,7 @@ def _run_tower(args) -> int:
     T = _load_matrix(args.matrix, args.ring)
     moduli = [int(m) for m in args.moduli.split(",") if m]
     tower = group_quotient_tower(T.algebra, moduli)
-    F = _window_from_radius(T, args.window)
+    F = ball(T.algebra.ring, T.support(), args.window)
     return _emit_report(tower_kernel_dims(T, tower, F, side=args.side), args.out)
 
 

@@ -12,7 +12,9 @@ finite S are
 
 with the symmetric boundary adding the outer boundary bd_S(F^c). The outer
 boundary is computed without touching the infinite complement via Frobenius
-reciprocity: bd_S(F^c) = (U_{w in F, v in S} supp(w x conj(v))) \\ F.
+reciprocity: bd_S(F^c) = (U_{w in F, v in S} supp(w x conj(v))) \\ F, and
+only on first read: kernel estimates need the interior and boundary alone,
+Folner searches and profiles read the outer boundary as well.
 A ball window B_r is decomposed from its outer shell B_r \\ B_{r-1} alone
 (``ball_boundary``); any other window is decomposed in full.
 
@@ -254,23 +256,60 @@ def ring_from_tag(tag: str) -> FusionRing:
 class BoundaryData:
     """A window F = interior u boundary and its boundary decomposition, as LabelSets
     of ``ring``. The interior, boundary and coboundary are each summed once,
-    unsorted; |F| and |bd^sym F| add up disjoint parts."""
+    unsorted; |F| and |bd^sym F| add up disjoint parts.
 
-    __slots__ = ("window", "interior", "boundary", "coboundary", "symmetric_boundary",
-                 "window_weight", "boundary_weight", "interior_weight", "symmetric_boundary_weight")
+    The coboundary, the symmetric boundary and its weight are computed
+    together on first read: kernel estimates never read them, Folner
+    searches and profiles do."""
+
+    __slots__ = ("window", "interior", "boundary", "window_weight", "boundary_weight",
+                 "interior_weight", "_compute_coboundary", "_outer")
 
     def __init__(self, ring, interior, boundary, coboundary):
-        self.interior = LabelSet(ring, interior)
-        self.boundary = LabelSet(ring, boundary)
-        self.coboundary = LabelSet(ring, coboundary)
-        self.window = LabelSet(ring, self.interior | self.boundary)
-        if not self.interior.isdisjoint(self.boundary) or not self.coboundary.isdisjoint(self.window):
+        interior, boundary = LabelSet(ring, interior), LabelSet(ring, boundary)
+        if not interior.isdisjoint(boundary):
             raise ValueError("interior, boundary and coboundary must be disjoint")
-        self.symmetric_boundary = LabelSet(ring, self.boundary | self.coboundary)
-        self.boundary_weight = weighted_size(ring, self.boundary)
-        self.interior_weight = weighted_size(ring, self.interior)
+        self._fill(LabelSet(ring, interior | boundary), interior, boundary, lambda: coboundary)
+        self._outer_parts()  # a given coboundary is checked at once
+
+    @classmethod
+    def _of_window(cls, F: LabelSet, interior, boundary, compute_coboundary) -> "BoundaryData":
+        """The record of the checked window F = interior u boundary (disjoint);
+        ``compute_coboundary()`` is called on the first read of the coboundary."""
+        self = object.__new__(cls)
+        self._fill(F, LabelSet(F.ring, interior), LabelSet(F.ring, boundary), compute_coboundary)
+        return self
+
+    def _fill(self, window, interior, boundary, compute_coboundary):
+        ring = window.ring
+        self.window, self.interior, self.boundary = window, interior, boundary
+        self.boundary_weight = weighted_size(ring, boundary)
+        self.interior_weight = weighted_size(ring, interior)
         self.window_weight = self.interior_weight + self.boundary_weight
-        self.symmetric_boundary_weight = self.boundary_weight + weighted_size(ring, self.coboundary)
+        self._compute_coboundary, self._outer = compute_coboundary, None
+
+    def _outer_parts(self) -> tuple:
+        if self._outer is None:
+            ring = self.window.ring
+            coboundary = LabelSet(ring, self._compute_coboundary())
+            if not coboundary.isdisjoint(self.window):
+                raise ValueError("interior, boundary and coboundary must be disjoint")
+            self._outer = (coboundary, LabelSet(ring, self.boundary | coboundary),
+                           self.boundary_weight + weighted_size(ring, coboundary))
+            self._compute_coboundary = None
+        return self._outer
+
+    @property
+    def coboundary(self) -> LabelSet:
+        return self._outer_parts()[0]
+
+    @property
+    def symmetric_boundary(self) -> LabelSet:
+        return self._outer_parts()[1]
+
+    @property
+    def symmetric_boundary_weight(self) -> int:
+        return self._outer_parts()[2]
 
 
 def weighted_size(ring: FusionRing, F: Iterable) -> int:
@@ -297,8 +336,8 @@ def boundary_decomposition(ring: FusionRing, F: Iterable, S: Iterable,
     (products v x u), which is what restriction of left multiplication
     needs; the two agree whenever the ring is commutative.
 
-    The outer boundary bd_S(F^c) is always computed through the Frobenius
-    shortcut, so the infinite complement is never enumerated.
+    The outer boundary bd_S(F^c) is computed on first read, through the
+    Frobenius shortcut, so the infinite complement is never enumerated.
     """
     F = ring.label_set(F)
     return _decompose(ring, F, F, S, side)
@@ -335,15 +374,19 @@ def _decompose(ring: FusionRing, F: LabelSet, edge: Iterable, S: Iterable,
             return ring._support(v, u)
 
     boundary = {u for u in edge if any(w not in F for v in S for w in supp(u, v))}
-    # Frobenius: u in bd_S(F^c) iff u not in F and some supp(u x v) meets F,
-    # iff u lies in supp(w x conj(v)) for some w in F, v in S (right side);
-    # mirrored to supp(conj(v) x w) on the left.
-    conj_S = [ring._conj(v) for v in S]
-    reach = set()
-    for w in edge:
-        for vb in conj_S:
-            reach.update(supp(w, vb))
-    return BoundaryData(ring, F - boundary, boundary, reach - F)
+
+    def coboundary():
+        # Frobenius: u in bd_S(F^c) iff u not in F and some supp(u x v) meets
+        # F, iff u lies in supp(w x conj(v)) for some w in F, v in S (right
+        # side); mirrored to supp(conj(v) x w) on the left.
+        conj_S = [ring._conj(v) for v in S]
+        reach = set()
+        for w in edge:
+            for vb in conj_S:
+                reach.update(supp(w, vb))
+        return reach - F
+
+    return BoundaryData._of_window(F, F - boundary, boundary, coboundary)
 
 
 def ball(ring: FusionRing, S: Iterable, radius: int) -> LabelSet:

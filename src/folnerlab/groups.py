@@ -13,7 +13,7 @@ factor, a tuple of ints otherwise.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, neg
 
 
 class CyclicProductGroup:
@@ -77,6 +77,8 @@ class CyclicProductGroup:
         if self.scalar_labels:
             m = self.moduli[0]
             return (-g) % m if m else -g
+        if self._free:
+            return tuple(map(neg, g))
         return tuple((-x) % m if m else -x for x, m in zip(g, self.moduli))
 
     @property

@@ -483,9 +483,11 @@ def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",
 
 def _restricted_operator(T: MatrixOverPol, dec: BoundaryData, side: str) -> RestrictedOperator:
     """restricted_mult_matrix on a boundary decomposition ``dec`` over S on
-    ``side`` that the caller holds; its window and interior are sorted here."""
-    ring = T.algebra.ring
-    return _operator_on(T, ring.sorted_labels(dec.window), ring.sorted_labels(dec.interior), side)
+    ``side`` that the caller holds; its window is sorted here, once, and the
+    interior is read off the sorted window."""
+    window = T.algebra.ring.sorted_labels(dec.window)
+    interior = dec.interior
+    return _operator_on(T, window, tuple(u for u in window if u in interior), side)
 
 
 def _operator_on(T: MatrixOverPol, window: tuple, interior: tuple, side: str) -> RestrictedOperator:
@@ -498,12 +500,14 @@ def _operator_on(T: MatrixOverPol, window: tuple, interior: tuple, side: str) ->
     cod_triples = _basis_triples(ring, window)
     domain_basis = tuple((comp, *t) for comp in range(n) for t in dom_triples)
     codomain_basis = tuple((comp, *t) for comp in range(n) for t in cod_triples)
+    shape = (len(codomain_basis), len(domain_basis))
     if isinstance(ring, GroupFusionRing):
-        entries = _translate_entries(T, side, dom_triples, cod_triples)
+        # exact, and in range and nonzero by construction: nothing to re-check
+        matrix = exactla.ScalarMatrix(
+            EXACT, shape, entries=_translate_entries(T, side, dom_triples, cod_triples))
     else:
-        entries = _multiply_entries(T, side, domain_basis, codomain_basis)
-    matrix = exactla.ScalarMatrix.from_entries(
-        entries, (len(codomain_basis), len(domain_basis)), algebra.mode)
+        matrix = exactla.ScalarMatrix.from_entries(
+            _multiply_entries(T, side, domain_basis, codomain_basis), shape, algebra.mode)
     return RestrictedOperator(
         algebra, n, side,
         window=window,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla
-from .fusion import BoundaryData, boundary_decomposition, weighted_size
+from .fusion import BoundaryData, ball_boundary, boundary_decomposition, weighted_size
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, _basis_triples,
                      _restricted_operator, full_mult_matrix)
 from .serialize import Report
@@ -109,11 +109,22 @@ def relative_dimension(algebra, vectors, F, n: int = 1) -> Fraction:
 
 def kernel_dim_estimate(T: MatrixOverPol, F, side: str = "right") -> DimensionEstimate:
     """The error sandwich for dim ker of multiplication by T over window F."""
-    if T.is_zero():
-        raise AlgebraError("kernel estimate needs a nonzero matrix")
+    _require_nonzero(T)
     ring = T.algebra.ring
     F = _require_conj_closed(ring, F)
     return _estimate(T, boundary_decomposition(ring, F, T.support(), side=side), side)
+
+
+def _ball_estimate(T: MatrixOverPol, radius: int, side: str) -> DimensionEstimate:
+    """kernel_dim_estimate(T, ball(ring, supp T, radius), side), with the ball
+    decomposed from its outer shell; a ball is conjugation-closed."""
+    _require_nonzero(T)
+    return _estimate(T, ball_boundary(T.algebra.ring, T.support(), radius, side=side), side)
+
+
+def _require_nonzero(T: MatrixOverPol) -> None:
+    if T.is_zero():
+        raise AlgebraError("kernel estimate needs a nonzero matrix")
 
 
 def _estimate(T: MatrixOverPol, dec: BoundaryData, side: str) -> DimensionEstimate:

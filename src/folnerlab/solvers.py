@@ -31,9 +31,8 @@ import numpy as np
 from . import exactla
 from .folner import ExhaustionReport, _profile_row
 from .fusion import LabelSet, ball, ball_boundary, weighted_size
-from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol,
-                     _restricted_operator, restricted_mult_matrix)
-from .reldim import DimensionEstimate, kernel_dim_estimate
+from .polalg import AlgebraElement, AlgebraError, MatrixOverPol, _restricted_operator
+from .reldim import DimensionEstimate, _ball_estimate
 from .scalars import EXACT
 from .serialize import Report
 
@@ -119,8 +118,7 @@ def zero_divisor_search(a: AlgebraElement, side: str = "left",
     T = MatrixOverPol.from_element(a)
     dims = []
     for radius in range(max_radius + 1):
-        F = ball(algebra.ring, S, radius)
-        op = restricted_mult_matrix(T, F, side=side, S=S)
+        op = _restricted_operator(T, ball_boundary(algebra.ring, S, radius, side=side), side)
         kernel = exactla.nullspace_basis(op.matrix)
         if kernel:
             (b,) = op.elements_from_coords(kernel[0])
@@ -137,8 +135,7 @@ def kernel_dim_sequence(a: AlgebraElement, side: str = "left",
     if a.is_zero():
         raise AlgebraError("need a != 0")
     T = MatrixOverPol.from_element(a)
-    return [(radius, kernel_dim_estimate(T, ball(a.algebra.ring, a.support(), radius), side=side))
-            for radius in radii]
+    return [(radius, _ball_estimate(T, radius, side)) for radius in radii]
 
 
 def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,

@@ -111,7 +111,8 @@ def test_estimate_z_one_minus_g():
 
 
 def test_estimate_sorts_window_and_interior_once(monkeypatch):
-    # the operator sorts both sets once and the estimate reuses its window
+    # the operator sorts the window once, filters the interior out of the
+    # sorted window, and the estimate reuses the operator's window
     from folnerlab.fusion import FusionRing
 
     sorted_sizes = []
@@ -126,8 +127,53 @@ def test_estimate_sorts_window_and_interior_once(monkeypatch):
     lap = AZ2.group_element({(0, 0): 4, (1, 0): -1, (-1, 0): -1,
                              (0, 1): -1, (0, -1): -1})
     est = kernel_dim_estimate(MatrixOverPol.from_element(lap), box2(4))
-    assert sorted(sorted_sizes) == [7 * 7, 9 * 9]
+    assert sorted_sizes == [9 * 9]  # the window; the interior is read off it
     assert est.window == tuple(sorted(box2(4)))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_estimate_leaves_the_outer_boundary_unread(monkeypatch, side):
+    # the bracket reads the interior and the inner boundary only: each label
+    # of F meets each v in S at most once, and the Frobenius pass behind the
+    # coboundary runs only when the coboundary is read
+    import folnerlab.reldim
+    from folnerlab.fusion import BoundaryData
+
+    ring, N = AZ2.ring, 10
+    a = AZ2.group_element({(0, 0): 3, (1, 0): -1, (0, 1): 2, (-1, 1): 1})
+    S = a.support()
+    records, calls = [], []
+    estimate, supp = folnerlab.reldim._estimate, ring._support
+
+    def recording(T, dec, side):
+        records.append(dec)
+        return estimate(T, dec, side)
+
+    def counting(u, v):
+        calls.append(None)
+        return supp(u, v)
+
+    def forbidden(self):
+        raise AssertionError("coboundary computed")
+
+    monkeypatch.setattr(folnerlab.reldim, "_estimate", recording)
+    monkeypatch.setattr(ring, "_support", counting)
+    monkeypatch.setattr(BoundaryData, "_outer_parts", forbidden)
+    F = box2(N)
+    kernel_dim_estimate(MatrixOverPol.from_element(a), F, side=side)
+    monkeypatch.undo()
+    assert 0 < len(calls) <= len(F) * len(S)
+
+    # read afterwards, it is the literal bd_S(F^c) = {u not in F : some
+    # u v (v u on the left) lies in F}; S lies in the 3x3 cell, so every
+    # such u lies in the box of radius N + 1
+    (dec,) = records
+    mul = ring.group.mul
+    F = frozenset(F)
+    direct = {u for u in box2(N + 1) if u not in F
+              and any((mul(u, v) if side == "right" else mul(v, u)) in F for v in S)}
+    assert dec.coboundary == direct
+    assert dec.symmetric_boundary == dec.boundary | direct
 
 
 def test_finite_dimension_decomposes_no_window(monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 from folnerlab import (AlgebraError, ExhaustionReport, MatrixOverPol,
                        NotFoundReport, OrePair, ZeroDivisorCertificate,
                        algebra_for, ball, boundary_decomposition,
-                       exact_mvn_dim_finite, kernel_dim_sequence, ore_pair,
-                       weighted_size, zero_divisor_search)
+                       exact_mvn_dim_finite, kernel_dim_estimate,
+                       kernel_dim_sequence, ore_pair, weighted_size,
+                       zero_divisor_search)
 
 from conftest import random_element, small_support
 
@@ -108,6 +109,24 @@ def test_sequence_finite_full_window_matches_oracle(rng):
         if set(est.window) == set(labels):
             assert est.lower == est.upper == \
                 exact_mvn_dim_finite(MatrixOverPol.from_element(a))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("tag,terms", [
+    ("group:Z^2", {(0, 0): 2, (1, 0): -1, (1, 1): 3}),
+    ("group:heisenberg", {(0, 0, 0): 1, (1, 0, 0): 2, (0, 1, 0): -1}),
+    ("group:Z/6", {0: 1, 1: -1}),
+    ("su2", {(1, 1, 2): 1.5, 0: -0.5}),
+])
+def test_sequence_matches_estimates_on_full_decompositions(tag, terms, side):
+    # the sequence decomposes each ball from its shell; kernel_dim_estimate
+    # decomposes the same ball in full
+    a = algebra_for(tag).element(terms)
+    T = MatrixOverPol.from_element(a)
+    radii = range(4)
+    want = [(r, kernel_dim_estimate(T, ball(a.algebra.ring, a.support(), r), side=side))
+            for r in radii]
+    assert kernel_dim_sequence(a, side=side, radii=radii) == want
 
 
 def test_sequence_lower_bounds_nondecreasing():
@@ -290,8 +309,6 @@ def test_ore_s3_float():
 # full-column-rank restricted matrices on every window
 
 def test_regularity_z2_random_elements(rng):
-    from folnerlab import kernel_dim_estimate
-
     gens = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if (i, j) != (0, 0)]
     F = ball(AZ2.ring, gens, 3)
     for _ in range(5):
@@ -302,8 +319,6 @@ def test_regularity_z2_random_elements(rng):
 
 
 def test_regularity_heisenberg_random_elements(rng):
-    from folnerlab import kernel_dim_estimate
-
     gens = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
     F = ball(AHEIS.ring, gens, 2)
     for _ in range(5):
