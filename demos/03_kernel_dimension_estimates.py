@@ -29,14 +29,15 @@ for N in (5, 10, 20, 40):
 # The true kernel dimension is 0 (the symbol 2 - z - 1/z vanishes only at
 # z = 1), and every bracket above contains it.
 
-# On a finite provider the full multiplication operator is available and
-# the window estimate with F = Irred collapses onto it.
+# On a finite provider the kernel dimension is exact (on a group ring, a sum
+# over the blocks of the irreducible representations, the characters of
+# Z/6 here), and the window estimate with F = Irred collapses onto it.
 AZ6 = algebra_for("group:Z/6")
 a6 = AZ6.group_element({0: 1, 1: -1})
 T6 = MatrixOverPol.from_element(a6)
 est = kernel_dim_estimate(T6, AZ6.ring.irreducibles())
 print("\n1 - g on Z/6: estimate", (est.lower, est.upper),
-      " brute force", exact_mvn_dim_finite(T6))
+      " exact", exact_mvn_dim_finite(T6))
 
 # A projection has an exactly half-dimensional kernel.
 AZ2 = algebra_for("group:Z/2")

@@ -23,6 +23,7 @@ matching side, so images stay inside W_F by the fusion-support inclusion.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from . import cg, exactla
 from .fusion import (BoundaryData, FusionRing, GroupFusionRing, InvalidLabelError,
@@ -412,19 +413,25 @@ class RestrictedOperator:
     The domain is W_{int}^n over the side-matched interior of F, the codomain
     W_F^n; both carry the orthonormal basis {sqrt(n_a) u^a_{ij}}, ordered
     component-major then by (label, row, col). ``window`` and ``interior``
-    are the sorted label tuples of F and of its interior.
+    are the sorted label tuples of F and of its interior; the two bases are
+    built from them when first read.
     """
 
-    def __init__(self, algebra, n, side, window, interior,
-                 domain_basis, codomain_basis, matrix):
+    def __init__(self, algebra, n, side, window, interior, matrix):
         self.algebra = algebra
         self.n = n
         self.side = side
         self.window = window
         self.interior = interior
-        self.domain_basis = domain_basis
-        self.codomain_basis = codomain_basis
         self.matrix = matrix
+
+    @cached_property
+    def domain_basis(self) -> tuple:
+        return _component_basis(self.algebra.ring, self.interior, self.n)
+
+    @cached_property
+    def codomain_basis(self) -> tuple:
+        return _component_basis(self.algebra.ring, self.window, self.n)
 
     def elements_from_coords(self, coords) -> tuple:
         """Convert domain coordinates (orthonormal basis) back to an n-tuple
@@ -454,6 +461,12 @@ def _basis_triples(ring, labels):
             for j in range(1, n + 1):
                 out.append((label, i, j))
     return out
+
+
+def _component_basis(ring, labels, n: int) -> tuple:
+    """(comp, label, i, j) over the sorted labels, component-major."""
+    triples = _basis_triples(ring, labels)
+    return tuple((comp, *t) for comp in range(n) for t in triples)
 
 
 def _check_operator(T: MatrixOverPol, side: str) -> None:
@@ -495,42 +508,34 @@ def _operator_on(T: MatrixOverPol, window: tuple, interior: tuple, side: str) ->
     algebra = T.algebra
     ring = algebra.ring
     n = T.n
-
-    dom_triples = _basis_triples(ring, interior)
-    cod_triples = _basis_triples(ring, window)
-    domain_basis = tuple((comp, *t) for comp in range(n) for t in dom_triples)
-    codomain_basis = tuple((comp, *t) for comp in range(n) for t in cod_triples)
-    shape = (len(codomain_basis), len(domain_basis))
     if isinstance(ring, GroupFusionRing):
-        # exact, and in range and nonzero by construction: nothing to re-check
+        # one basis element per label; the entries are exact, and in range
+        # and nonzero by construction: nothing to re-check
         matrix = exactla.ScalarMatrix(
-            EXACT, shape, entries=_translate_entries(T, side, dom_triples, cod_triples))
+            EXACT, (n * len(window), n * len(interior)),
+            entries=_translate_entries(T, side, interior, window))
     else:
+        domain_basis = _component_basis(ring, interior, n)
+        codomain_basis = _component_basis(ring, window, n)
         matrix = exactla.ScalarMatrix.from_entries(
-            _multiply_entries(T, side, domain_basis, codomain_basis), shape, algebra.mode)
-    return RestrictedOperator(
-        algebra, n, side,
-        window=window,
-        interior=interior,
-        domain_basis=domain_basis,
-        codomain_basis=codomain_basis,
-        matrix=matrix,
-    )
+            _multiply_entries(T, side, domain_basis, codomain_basis),
+            (len(codomain_basis), len(domain_basis)), algebra.mode)
+    return RestrictedOperator(algebra, n, side, window, interior, matrix)
 
 
 def _escaped(label):
     return RuntimeError(f"fusion inclusion violated: component {label!r} escaped F")
 
 
-def _translate_entries(T, side, dom_triples, cod_triples) -> dict:
+def _translate_entries(T, side, interior, window) -> dict:
     """Group rings: the image of the basis element x of component comp has,
     in output component k, the translate x supp(t) (supp(t) x on the left)
     of t = T[comp][k] (T[k][comp] on the left) as support, carrying t's
     coefficients. Translation is injective, so entries are copied from t
     and never summed: no scalar product is formed."""
     mul = T.algebra.ring.group._mul
-    row_of = {label: r for r, (label, _, _) in enumerate(cod_triples)}
-    size = len(cod_triples)
+    row_of = {label: r for r, label in enumerate(window)}
+    size = len(window)
     entries = {}
     col = 0
     for comp in range(T.n):
@@ -540,7 +545,7 @@ def _translate_entries(T, side, dom_triples, cod_triples) -> dict:
             t = T.entries[comp][k] if side == "right" else T.entries[k][comp]
             if not t.is_zero():
                 blocks.append((k * size, [(h, c) for (h, _, _), c in t._coeffs.items()]))
-        for x, _, _ in dom_triples:
+        for x in interior:
             for offset, terms in blocks:
                 for h, c in terms:
                     w = mul(x, h) if side == "right" else mul(h, x)

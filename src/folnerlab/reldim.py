@@ -9,8 +9,11 @@ two-sided estimate of the Murray-von Neumann kernel dimension:
     lower = |F|^{-1} nullity,   upper = lower + n |bd_S(F)| / |F|,
 
 all weighted counts exact integers, so the bracket is an exact rational
-interval. On finite providers the full multiplication operator gives the
-dimension outright, which serves as the brute-force oracle for the bracket.
+interval. On finite providers the dimension is computed outright, which
+serves as the oracle for the bracket: on the exact group rings as a sum over
+irreducible blocks, one small exact rank per Galois orbit (``_blocks``), and
+on the float provider finite:S3 by an SVD of the full multiplication
+operator.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exactla
+from . import _blocks, exactla
 from .fusion import BoundaryData, ball_boundary, boundary_decomposition, weighted_size
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, _basis_triples,
-                     _restricted_operator, full_mult_matrix)
+                     _check_operator, _restricted_operator, full_mult_matrix)
+from .scalars import EXACT
 from .serialize import Report
 
 
@@ -146,12 +150,20 @@ def _estimate(T: MatrixOverPol, dec: BoundaryData, side: str) -> DimensionEstima
 
 
 def exact_mvn_dim_finite(T: MatrixOverPol, side: str = "right") -> Fraction:
-    """Exact kernel dimension of multiplication by T on a finite provider."""
+    """Exact kernel dimension of multiplication by T on a finite provider.
+
+    On an exact group ring it is the weighted sum of the nullities of the
+    irreducible blocks of T, the same on both sides, and the full
+    multiplication operator is never built. On finite:S3 the SVD ranks the
+    full operator."""
     ring = T.algebra.ring
     if not ring.is_finite:
         raise AlgebraError(f"ring {ring.tag} is infinite; use kernel_dim_estimate")
     if T.is_zero():
         return Fraction(T.n)
+    if T.algebra.mode == EXACT:
+        _check_operator(T, side)
+        return _blocks.kernel_dim(T)
     op = full_mult_matrix(T, side=side)
     _, nullity = exactla.rank_nullity(op.matrix)
     # the columns span the whole coefficient space W^n of the finite ring

@@ -14,7 +14,10 @@ injectivity transports the whole local picture: supports, boundaries and
 weighted sizes push forward unchanged, the restricted operators become
 unitarily equivalent, and the finite-quotient kernel dimension lands within
 2 n |bd_S F| / |F| of the window estimate upstairs. ``tower_kernel_dims``
-computes all of this per level and re-checks each identity exactly.
+computes all of this per level and re-checks each identity exactly. A
+level's kernel dimension is exact and never builds the level's |G| x |G|
+operator: it is summed over the irreducible blocks of the finite group,
+one small exact rank per Galois orbit (``reldim.exact_mvn_dim_finite``).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from folnerlab import (AlgebraError, MatrixOverPol, algebra_for, ball,
                        exact_mvn_dim_finite, folner_search, full_mult_matrix,
-                       group_quotient_tower, kernel_dim_estimate,
+                       group_quotient_tower, kernel_dim_estimate, rank_nullity,
                        relative_dimension, restricted_mult_matrix,
                        tower_kernel_dims)
 from folnerlab.polalg import _basis_triples
@@ -195,6 +195,41 @@ def test_finite_dimension_decomposes_no_window(monkeypatch):
                                 side="left") == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_finite_group_ring_dimension_never_builds_the_full_operator(monkeypatch, side):
+    # exact group rings go through their irreducible blocks; every matrix
+    # ranked is a realified block, far smaller than the |G| x |G| operator
+    import folnerlab.exactla
+    import folnerlab.polalg
+    import folnerlab.reldim
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full multiplication operator built")
+
+    monkeypatch.setattr(folnerlab.polalg, "full_mult_matrix", forbidden)
+    monkeypatch.setattr(folnerlab.reldim, "full_mult_matrix", forbidden)
+    monkeypatch.setattr(folnerlab.polalg, "_operator_on", forbidden)
+    shapes = []
+    rank = folnerlab.exactla.rank_nullity
+
+    def recording(M):
+        shapes.append(M.shape)
+        return rank(M)
+
+    monkeypatch.setattr(folnerlab.exactla, "rank_nullity", recording)
+    H = algebra_for("group:heisenberg/6")
+    x, y = H.basis((1, 0, 0)), H.basis((0, 1, 0))
+    a = H.one() * 3 - x - x.star() - y
+    cases = [(MatrixOverPol.from_element(a), Fraction(1, 216)),
+             (MatrixOverPol(H, [[a, y], [a, y]]), Fraction(1)),
+             (MatrixOverPol.from_element(
+                 algebra_for("group:Z/8xZ/4").group_element(
+                     {(0, 0): (1, 1), (1, 2): (-1, -1)})), Fraction(1, 8))]
+    for T, dim in cases:
+        assert exact_mvn_dim_finite(T, side=side) == dim
+    assert shapes and max(cols for _, cols in shapes) <= 2 * 6 * 2  # n d phi(6)
+
+
 def test_estimate_z2_projection_full_window():
     p = AZMOD2.group_element({0: Fraction(1, 2), 1: Fraction(1, 2)})
     est = kernel_dim_estimate(MatrixOverPol.from_element(p), [0, 1])
@@ -250,6 +285,45 @@ def test_mvn_cyclic_one_minus_g_dft_oracle(m):
     alg = algebra_for(f"group:Z/{m}")
     a = alg.group_element({0: 1, 1: -1})
     assert exact_mvn_dim_finite(MatrixOverPol.from_element(a)) == Fraction(zeros, m)
+
+
+def test_mvn_gaussian_input_keeps_conjugate_characters_apart():
+    # 1 + i g on Z/4 vanishes at the character g -> i only, not at its
+    # complex conjugate: Gaussian coefficients split the Galois orbits
+    A = algebra_for("group:Z/4")
+    for T in (MatrixOverPol.from_element(A.group_element({0: 1, 1: (0, 1)})),
+              MatrixOverPol.from_element(A.group_element({0: 1, 3: (0, 1)}))):
+        for side in ("right", "left"):
+            _, nullity = rank_nullity(full_mult_matrix(T, side=side).matrix)
+            assert nullity == 1
+            assert exact_mvn_dim_finite(T, side=side) == Fraction(1, 4)
+
+
+def _deep_level(tag):
+    """5 - 2x - 3y on Heisenberg mod m, 5x - 2 - 3xy on (Z/m)^2."""
+    A = algebra_for(tag)
+    if tag.startswith("group:heisenberg"):
+        terms = {(0, 0, 0): 5, (1, 0, 0): -2, (0, 1, 0): -3}
+    else:
+        terms = {(1, 0): 5, (0, 0): -2, (1, 1): -3}
+    return MatrixOverPol.from_element(A.element(terms))
+
+
+@pytest.mark.parametrize("tag", ["group:heisenberg/8", "group:Z/16xZ/16"])
+def test_mvn_deep_level_agrees_with_full_operator(tag):
+    T = _deep_level(tag)
+    M = full_mult_matrix(T).matrix
+    _, nullity = rank_nullity(M)
+    assert nullity == 1  # the constants: both elements have augmentation 0
+    assert exact_mvn_dim_finite(T) == Fraction(nullity, M.shape[1])
+
+
+@pytest.mark.parametrize("tag", ["group:heisenberg/16", "group:Z/64xZ/64"])
+def test_mvn_deeper_levels_are_pinned(tag):
+    # each checked once against the Gauss-Jordan RREF of the 4096 x 4096
+    # operator, which took 29 s (heisenberg/16) and 41 min ((Z/64)^2) on a
+    # 2-core Xeon; the blocks take milliseconds
+    assert exact_mvn_dim_finite(_deep_level(tag), side="left") == Fraction(1, 4096)
 
 
 def test_mvn_s3_unit_invertible():
@@ -391,8 +465,12 @@ def test_group_ring_rank_agrees_with_fraction_free_and_svd(algebra, rank_one, da
 # exact_mvn_dim_finite on finite quotients against independent references
 
 _FINITE = {"Z/n": ["group:Z/2", "group:Z/5", "group:Z/6", "group:Z/8"],
-           "Z/m x Z/k": ["group:Z/2xZ/2", "group:Z/3xZ/2", "group:Z/4xZ/3"],
+           "Z/m x Z/k": ["group:Z/2xZ/2", "group:Z/3xZ/2", "group:Z/4xZ/3",
+                         "group:Z/8xZ/4"],
            "heisenberg/3": ["group:heisenberg/3"],
+           # blocks of dimension 2, 4 and 6, and orbits of more than one block
+           "heisenberg/m": ["group:heisenberg/2", "group:heisenberg/4",
+                            "group:heisenberg/6"],
            "S3": ["finite:S3"]}
 
 
@@ -437,5 +515,9 @@ def test_finite_dim_agrees_with_fraction_free_and_svd(family, data):
     nullity = M.shape[1] - _svd_rank(M)
     size = sum(ring.dim(u) ** 2 for u in ring.irreducibles())
     assert exact_mvn_dim_finite(T, side=side) == Fraction(nullity, size)
-    if M.mode != FLOAT:  # S3 is a float ring: numpy's own rank cut-off only
+    # S3 is a float ring: numpy's own rank cut-off only. The fraction-free
+    # elimination of the full operator takes 0.4 s at 64 columns and over
+    # 10 s at 216 (heisenberg/6), so from 64 columns on the SVD is the
+    # reference
+    if M.mode != FLOAT and M.shape[1] < 64:
         assert nullity == M.shape[1] - fraction_free_rank(M)
