@@ -99,7 +99,7 @@ def _block_nullity(cells: dict, size: int, L: int) -> int:
                 key = (row * f + r, col * f + j)
                 real[key] = real.get(key, 0) + c * x
     matrix = exactla.ScalarMatrix(EXACT, (size * f, size * f),
-                                  entries={k: QQi(v) for k, v in real.items() if v})
+                                  entries={k: QQi(v) for k, v in real.items()})
     rank, _ = exactla.rank_nullity(matrix)
     if rank % f:
         raise RuntimeError(f"realified block rank {rank} is not a multiple of {f}")

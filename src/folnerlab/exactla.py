@@ -13,12 +13,12 @@ by its shape and its leading rows, never by its size:
   Heisenberg windows list rows and columns in sorted label order, which
   translation preserves, so an injective one passes this check. A wide
   matrix always has a kernel, so it skips the check;
-* otherwise the answer is read off a sparse Gauss-Jordan RREF (sympy's
-  DomainMatrix, division-based rather than fraction-free, so coefficients
-  stay small on sparse operators), over QQ when every entry has a zero
-  imaginary part and over QQ_I otherwise. The RREF is unique, so the domain
-  changes only the speed: the rank is its number of pivots, the kernel basis
-  comes from its free columns.
+* otherwise the answer is read off the library's own sparse Gauss-Jordan
+  RREF (``_rref``, division-based rather than fraction-free, so coefficients
+  stay small on sparse operators), over ``Fraction`` when every entry has a
+  zero imaginary part and over ``QQi`` otherwise. The RREF is unique, so the
+  field changes only the speed: the rank is its number of pivots, the kernel
+  basis comes from its free columns.
 
 Every emitted kernel vector is re-verified: M v = 0 exactly, or
 ||M v|| <= 10 tol ||M|| ||v|| in float mode, with tol = DEFAULT_FLOAT_TOL
@@ -30,8 +30,6 @@ deterministic, so identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .scalars import EXACT, FLOAT, QQI_ZERO, QQi
@@ -42,15 +40,17 @@ DEFAULT_FLOAT_TOL = 1e-9
 class ScalarMatrix:
     """Rectangular matrix in one scalar mode.
 
-    Exact storage is a sparse {(row, col): QQi} dict; float storage is a
-    dense complex numpy array.
+    Exact storage is a sparse {(row, col): QQi} dict and holds no zeros:
+    the constructor drops them. Float storage is a dense complex numpy array.
     """
 
     def __init__(self, mode: str, shape: tuple[int, int], entries=None, array=None):
         self.mode = mode
         self.shape = shape
         if mode == EXACT:
-            self.entries = entries if entries is not None else {}
+            entries = entries or {}
+            self.entries = entries if all(entries.values()) else \
+                {k: v for k, v in entries.items() if v}
             self.array = None
         elif mode == FLOAT:
             self.array = array if array is not None else np.zeros(shape, dtype=complex)
@@ -65,7 +65,7 @@ class ScalarMatrix:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside shape {shape}")
         if mode == EXACT:
-            return cls(EXACT, shape, entries={k: v for k, v in entries.items() if v})
+            return cls(EXACT, shape, entries=entries)
         arr = np.zeros(shape, dtype=complex)
         for (r, c), v in entries.items():
             arr[r, c] = complex(v)
@@ -79,12 +79,8 @@ class ScalarMatrix:
             raise ValueError("ragged rows")
         if mode == FLOAT:
             return cls(FLOAT, shape, array=np.array(rows, dtype=complex))
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                v = v if isinstance(v, QQi) else QQi(v)
-                if v:
-                    entries[(i, j)] = v
+        entries = {(i, j): v if isinstance(v, QQi) else QQi(v)
+                   for i, row in enumerate(rows) for j, v in enumerate(row)}
         return cls(EXACT, shape, entries=entries)
 
     def entry(self, r: int, c: int):
@@ -135,8 +131,8 @@ def _distinct_leading_rows(M: ScalarMatrix) -> bool:
     nonzero diagonal. No arithmetic, O(nnz)."""
     rows, cols = M.shape
     lead: dict[int, int] = {}
-    for (r, c), v in M.entries.items():
-        if v and r < lead.get(c, rows):
+    for (r, c) in M.entries:
+        if r < lead.get(c, rows):
             lead[c] = r
     return len(lead) == cols and len(set(lead.values())) == cols
 
@@ -151,41 +147,67 @@ def _certified_full_rank(M: ScalarMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # exact Gauss-Jordan path (everything the certificate does not settle)
 
-def _to_domain_matrix(M: ScalarMatrix):
-    """M as a sparse DomainMatrix over QQ when every entry is real, else over
-    QQ_I. The RREF is unique, so both give the same answer; QQ skips the
-    Gaussian arithmetic."""
-    from sympy import QQ, QQ_I
-    from sympy.polys.matrices import DomainMatrix
+def _rref(M: ScalarMatrix):
+    """(rows, pivots): the RREF of M, one {col: entry} row per pivot in pivot
+    order, over Fraction when every entry is real and over QQi otherwise.
 
+    Sparse Gauss-Jordan with division, after sympy's ``sdm_irref``: rows are
+    sorted by leading column and taken from the last; each is reduced by the
+    pivot rows before it, and its own pivot is then cancelled from them
+    through a column -> pivot rows index. Division keeps the entries of these
+    sparse operators small (fraction-free elimination took 84.6 s against
+    0.08 s on a 593x670 Heisenberg Ore operator)."""
     real = all(not v.im for v in M.entries.values())
-    data: dict[int, dict[int, object]] = {}
+    by_row: dict[int, dict] = {}
     for (r, c), v in M.entries.items():
-        x = QQ(v.re.numerator, v.re.denominator)
-        if not real:
-            x = QQ_I.new(x, QQ(v.im.numerator, v.im.denominator))
-        data.setdefault(r, {})[c] = x
-    return DomainMatrix(data, M.shape, QQ if real else QQ_I)
+        by_row.setdefault(r, {})[c] = v.re if real else v
+    todo = sorted(by_row.values(), key=min)
+    pivot_row: dict[int, dict] = {}  # pivot column -> its reduced row
+    in_col: dict[int, set] = {}  # column -> pivots whose row may have an entry there
+    while todo:
+        row = todo.pop()
+        for p in pivot_row.keys() & row.keys():
+            _axpy(row, -row.pop(p), pivot_row[p], p)
+        if not row:
+            continue
+        p = min(row)
+        inv = 1 / row[p]
+        row = {c: x * inv for c, x in row.items()}
+        for k in in_col.pop(p, ()):
+            other = pivot_row[k]
+            if p in other:  # else cancelled since it was indexed
+                for c in _axpy(other, -other.pop(p), row, p):
+                    in_col.setdefault(c, set()).add(k)
+        pivot_row[p] = row
+        for c in row:
+            if c != p:
+                in_col.setdefault(c, set()).add(p)
+    pivots = sorted(pivot_row)
+    return [pivot_row[p] for p in pivots], pivots
 
 
-def _from_rational(q) -> QQi:
-    return QQi(Fraction(int(q.numerator), int(q.denominator)))
+def _axpy(row: dict, a, pivot: dict, p: int) -> list:
+    """row += a * pivot off the pivot's column p, dropping cancelled
+    entries; returns the columns that entered row."""
+    new = []
+    for c, y in pivot.items():
+        if c == p:
+            continue
+        if c in row:
+            z = row[c] + a * y
+            if z:
+                row[c] = z
+            else:
+                del row[c]
+        else:
+            row[c] = a * y
+            new.append(c)
+    return new
 
 
-def _from_gaussian(g) -> QQi:
-    x, y = g.x, g.y
-    return QQi(Fraction(int(x.numerator), int(x.denominator)),
-               Fraction(int(y.numerator), int(y.denominator)))
-
-
-def _sympy_rref(M: ScalarMatrix):
-    # Gauss-Jordan with division keeps the entries of these sparse operators
-    # small. DomainMatrix.nullspace() goes through the fraction-free rref_den
-    # instead, whose coefficients grow very large: 84.6 s against 0.08 s
-    # on a 593x670 Heisenberg Ore operator. Calling .nullspace() on the GJ
-    # result would run that elimination again, so the basis is read straight
-    # off the RREF, which is unique, so the basis is canonical.
-    return _to_domain_matrix(M).rref(method="GJ")
+def _as_qqi(x) -> QQi:
+    """An int, Fraction or QQi entry of the RREF's field as a QQi."""
+    return x if type(x) is QQi else QQi(x)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +223,7 @@ def rank_nullity(M: ScalarMatrix) -> tuple[int, int]:
         return rank, cols - rank
     if _certified_full_rank(M):
         return cols, 0
-    _, pivots = _sympy_rref(M)
+    _, pivots = _rref(M)
     return len(pivots), cols - len(pivots)
 
 
@@ -222,18 +244,25 @@ def nullspace_basis(M: ScalarMatrix) -> list:
         return basis
     if _certified_full_rank(M):
         return []
-    rref, pivots = _sympy_rref(M)
-    convert = _from_rational if rref.domain.is_QQ else _from_gaussian
+    rows, pivots = _rref(M)
+    # one sparse vector per free column j, in order: at each pivot p, minus
+    # the entry of p's RREF row in column j (only pivots p < j have one)
+    kernel: dict[int, dict] = {j: {} for j in range(cols)}
+    for p, row in zip(pivots, rows):
+        del kernel[p]
+        for c, x in row.items():
+            if c != p:
+                kernel[c][p] = -x
     by_col: dict[int, list] = {}
     for (r, c), e in M.entries.items():
         by_col.setdefault(c, []).append((r, e))
     out = []
-    # the nullspace is sparse: one {col: entry} row per free column, in order;
-    # each vector is normalised and checked on its support before it is
-    # spread into a dense list
-    for row in rref.nullspace_from_rref(pivots).rep.values():
-        lead = row[min(row)]
-        sparse = {c: convert(x / lead) for c, x in row.items()}
+    # 1 at j, normalised to leading entry 1 in the RREF's field, lifted into
+    # QQi and checked on its support before it is spread into a dense list
+    for j, row in kernel.items():
+        inv = 1 / row[min(row)] if row else 1
+        sparse = {c: _as_qqi(x * inv) for c, x in row.items()}
+        sparse[j] = _as_qqi(inv)
         image: dict[int, QQi] = {}
         for c, x in sparse.items():
             for r, e in by_col.get(c, ()):

@@ -2,9 +2,11 @@
 
 Exact matrices take one of two routes: tall or square ones try to certify a
 trivial kernel from pairwise distinct leading rows, and everything else is
-read off a Gauss-Jordan RREF, over QQ when every entry is real and over QQ_I
-otherwise. The references here are independent of both: sympy's
-fraction-free elimination over QQ_I and a float SVD of the complex cast.
+read off the library's own sparse Gauss-Jordan RREF, over Fraction when every
+entry is real and over QQi otherwise. The references here are independent of
+both: sympy, a test-only dependency, gives the fraction-free rank and
+nullspace over QQ_I and the Gauss-Jordan RREF that the library's must equal
+entry for entry; a float SVD of the complex cast gives the float rank.
 """
 
 from fractions import Fraction
@@ -210,12 +212,25 @@ def _sympy_rank(M):
     return domain_matrix(M).rank()
 
 
+def _from_sympy(g) -> QQi:
+    """A sympy QQ_I element as a QQi."""
+    return QQi(Fraction(int(g.x.numerator), int(g.x.denominator)),
+               Fraction(int(g.y.numerator), int(g.y.denominator)))
+
+
+def _sympy_gauss_jordan(M):
+    """sympy's sparse Gauss-Jordan RREF over QQ_I, in the shape of
+    exactla._rref's result: one {col: entry} row per pivot, and the pivots."""
+    rref, pivots = domain_matrix(M).rref(method="GJ")
+    rows = [{c: _from_sympy(g) for c, g in row.items()} for _, row in sorted(rref.rep.items())]
+    return rows, list(pivots)
+
+
 def _fraction_free_kernel(M):
     """sympy's fraction-free nullspace, each vector scaled to leading entry 1."""
     basis = []
     for row in domain_matrix(M).nullspace().to_list():
-        v = [QQi(Fraction(int(g.x.numerator), int(g.x.denominator)),
-                 Fraction(int(g.y.numerator), int(g.y.denominator))) for g in row]
+        v = [_from_sympy(g) for g in row]
         lead = next(x for x in v if x)
         basis.append([x / lead if x else x for x in v])
     return basis
@@ -250,6 +265,7 @@ def test_banded_gaussian_rank_agrees_with_sympy_rank(rng):
         want = _sympy_rank(M)
         assert want == cols - nullity
         assert rank_nullity(M) == (want, cols - want)
+        assert exactla._rref(M) == _sympy_gauss_jordan(M)
 
 
 def _shift_matrix(rows, cols, shift, coeff):
@@ -260,7 +276,7 @@ def _shift_matrix(rows, cols, shift, coeff):
 
 
 def test_route_depends_on_shape_and_leading_rows(monkeypatch):
-    rref = _spy(monkeypatch, "_sympy_rref")
+    rref = _spy(monkeypatch, "_rref")
     # wide matrices always have a kernel: straight to the RREF
     wide = _shift_matrix(5, 6, 1, QQi(-1))  # v[k] = v[k + 1]
     assert rank_nullity(wide) == (5, 1)
@@ -331,9 +347,12 @@ def test_exact_routes_agree_with_independent_references(rows):
     basis = nullspace_basis(M)
     assert basis == _fraction_free_kernel(M)
     real = all(not x.im for row in rows for x in row)
-    assert exactla._to_domain_matrix(M).domain.is_QQ == real
+    reduced = exactla._rref(M)
+    assert reduced == _sympy_gauss_jordan(M)
+    field = Fraction if real else QQi
+    assert all(type(x) is field for row in reduced[0] for x in row.values())
     # i M has the kernel of M; a real M and its imaginary multiple take the
-    # RREF over QQ and over QQ_I respectively
+    # RREF over Fraction and over QQi respectively
     rotated = exact_matrix([[QQi(0, 1) * x for x in row] for row in rows])
     assert (rank_nullity(rotated), nullspace_basis(rotated)) == \
         (rank_nullity(M), basis)
@@ -344,8 +363,8 @@ def test_kernel_check_rejects_a_wrong_rref(monkeypatch):
     # is not in the kernel of M, whose kernel is spanned by (1, -1)
     M = exact_matrix([[1, 1], [1, 1]])
     other = exact_matrix([[1, -1], [1, -1]])
-    orig = exactla._sympy_rref
-    monkeypatch.setattr(exactla, "_sympy_rref", lambda _: orig(other))
+    orig = exactla._rref
+    monkeypatch.setattr(exactla, "_rref", lambda _: orig(other))
     with pytest.raises(AssertionError):
         nullspace_basis(M)
 
@@ -368,6 +387,20 @@ def test_leading_row_certificate_rejects(entries, shape, rank):
     M = ScalarMatrix(EXACT, shape, entries=entries)
     assert not exactla._distinct_leading_rows(M)
     assert rank_nullity(M) == (rank, shape[1] - rank)
+
+
+@pytest.mark.parametrize("entries,shape,rank", [
+    # wide: straight to the RREF, where a stored zero would become a pivot
+    ({(0, 0): QQi(0), (0, 1): QQi(1), (1, 1): QQi(1), (1, 2): QQi(1)}, (2, 3), 2),
+    ({(0, 0): QQi(0)}, (1, 1), 0),
+])
+def test_constructor_drops_stored_zeros(entries, shape, rank):
+    M = ScalarMatrix(EXACT, shape, entries=entries)
+    assert all(M.entries.values())
+    assert rank_nullity(M) == (rank, shape[1] - rank)
+    basis = nullspace_basis(M)
+    assert len(basis) == shape[1] - rank
+    assert all(not any(M.matvec(v)) for v in basis)
 
 
 _NONZERO_GAUSSIAN = _GAUSSIAN_INTEGERS.filter(bool)

@@ -13,6 +13,9 @@ After an intended change of output, rewrite the files with
 and review the diff.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +25,8 @@ from folnerlab import (MatrixOverPol, algebra_for, dump_element,
                        group_quotient_tower, haar_approx_sequence)
 from folnerlab.cli import main
 from folnerlab.serialize import canonical_dumps
+
+from conftest import REPO_ROOT
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -117,6 +122,37 @@ def render(case: str, workdir: Path) -> str:
 @pytest.mark.parametrize("case", CASES)
 def test_canonical_json_matches_golden(case, tmp_path):
     assert render(case, tmp_path).encode() == (GOLDEN_DIR / f"{case}.json").read_bytes()
+
+
+_WITHOUT_SYMPY = """
+import sys
+import folnerlab
+from folnerlab.cli import main
+from folnerlab.scalars import EXACT, QQi
+wide = {(k, k + d): QQi(1 - 2 * d) for k in range(40) for d in (0, 1)}
+M = folnerlab.ScalarMatrix.from_entries(wide, (40, 41), EXACT)
+assert folnerlab.rank_nullity(M) == (40, 1)
+main(sys.argv[1:])
+assert "sympy" not in sys.modules, "sympy was imported"
+"""
+
+
+def test_exact_routes_run_without_sympy(tmp_path):
+    # sympy is the tests' reference only: the library's RREF and a CLI case
+    # that reaches it import nothing of it
+    case = "zero_divisor_certificate"
+    stem = "zd"
+    path = tmp_path / f"{stem}.json"
+    path.write_text(dump_element(_inputs()[stem]))
+    out = tmp_path / "out.json"
+    argv = [arg.format(**{stem: str(path)}) for arg in CLI_CASES[case]] + ["--out", str(out)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SYMPY, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (GOLDEN_DIR / f"{case}.json").read_bytes()
 
 
 def test_no_stale_golden_files():
