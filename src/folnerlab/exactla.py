@@ -1,8 +1,10 @@
 """Exact and floating rank/nullspace kernels shared by every module.
 
-Exact mode works over the Gaussian rationals and is field-exact; float mode
-uses SVD with a relative singular-value threshold. An exact matrix is routed
-by its shape and its leading rows, never by its size:
+Both modes store a matrix as one sparse dict without zeros. Exact mode works
+over the Gaussian rationals and is field-exact; float mode uses SVD with a
+relative singular-value threshold, and the SVD is the only place a matrix is
+made dense and numpy is imported. An exact matrix is routed by its shape and
+its leading rows, never by its size:
 
 * tall or square (rows >= cols): nullity 0 is certified without arithmetic.
   Take each column's leading row, the smallest row index holding a nonzero
@@ -30,33 +32,37 @@ deterministic, so identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
-import numpy as np
+import cmath
 
-from .scalars import EXACT, FLOAT, QQI_ZERO, QQi
+from .scalars import EXACT, FLOAT, QQI_ZERO, QQi, scalar_zero
 
 DEFAULT_FLOAT_TOL = 1e-9
 
 
-class ScalarMatrix:
-    """Rectangular matrix in one scalar mode.
+def _as_qqi(x) -> QQi:
+    """An int, Fraction or QQi entry as a QQi."""
+    return x if type(x) is QQi else QQi(x)
 
-    Exact storage is a sparse {(row, col): QQi} dict and holds no zeros:
-    the constructor drops them. Float storage is a dense complex numpy array.
+
+_SCALAR = {EXACT: _as_qqi, FLOAT: complex}  # a mode's entry type
+
+
+class ScalarMatrix:
+    """Rectangular matrix in one scalar mode, stored as a sparse
+    {(row, col): entry} dict of QQi (exact) or complex (float) entries.
+
+    The storage holds no zeros: the constructor drops them. Only the float
+    kernel builds a dense array, so numpy is imported for float work only.
     """
 
-    def __init__(self, mode: str, shape: tuple[int, int], entries=None, array=None):
+    def __init__(self, mode: str, shape: tuple[int, int], entries=None):
+        if mode not in _SCALAR:
+            raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.shape = shape
-        if mode == EXACT:
-            entries = entries or {}
-            self.entries = entries if all(entries.values()) else \
-                {k: v for k, v in entries.items() if v}
-            self.array = None
-        elif mode == FLOAT:
-            self.array = array if array is not None else np.zeros(shape, dtype=complex)
-            self.entries = None
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        entries = entries or {}
+        self.entries = entries if all(entries.values()) else \
+            {k: v for k, v in entries.items() if v}
 
     @classmethod
     def from_entries(cls, entries: dict, shape: tuple[int, int], mode: str):
@@ -64,12 +70,8 @@ class ScalarMatrix:
         for (r, c) in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside shape {shape}")
-        if mode == EXACT:
-            return cls(EXACT, shape, entries=entries)
-        arr = np.zeros(shape, dtype=complex)
-        for (r, c), v in entries.items():
-            arr[r, c] = complex(v)
-        return cls(FLOAT, shape, array=arr)
+        scalar = _SCALAR[mode]
+        return cls(mode, shape, entries={k: scalar(v) for k, v in entries.items()})
 
     @classmethod
     def from_rows(cls, rows, mode: str):
@@ -77,46 +79,48 @@ class ScalarMatrix:
         shape = (len(rows), len(rows[0]) if rows else 0)
         if any(len(r) != shape[1] for r in rows):
             raise ValueError("ragged rows")
-        if mode == FLOAT:
-            return cls(FLOAT, shape, array=np.array(rows, dtype=complex))
-        entries = {(i, j): v if isinstance(v, QQi) else QQi(v)
-                   for i, row in enumerate(rows) for j, v in enumerate(row)}
-        return cls(EXACT, shape, entries=entries)
+        scalar = _SCALAR[mode]
+        return cls(mode, shape, entries={(i, j): scalar(v) for i, row in enumerate(rows)
+                                         for j, v in enumerate(row)})
 
     def entry(self, r: int, c: int):
-        if self.mode == EXACT:
-            return self.entries.get((r, c), QQI_ZERO)
-        return self.array[r, c]
+        return self.entries.get((r, c), scalar_zero(self.mode))
 
     def matvec(self, v):
-        rows, cols = self.shape
-        if self.mode == FLOAT:
-            return self.array @ np.asarray(v, dtype=complex)
-        out = [QQI_ZERO] * rows
+        out = [scalar_zero(self.mode)] * self.shape[0]
         for (r, c), e in self.entries.items():
             if v[c]:
                 out[r] = out[r] + e * v[c]
         return out
 
     def is_finite(self) -> bool:
-        return self.mode == EXACT or bool(np.isfinite(self.array).all())
+        # QQi entries are finite by type; converting one to complex may overflow
+        return self.mode == EXACT or all(map(cmath.isfinite, self.entries.values()))
 
     def __repr__(self):
         return f"<ScalarMatrix {self.mode} {self.shape[0]}x{self.shape[1]}>"
 
 
 # ---------------------------------------------------------------------------
-# float path
+# float path: the only dense matrices, and the only numpy
 
 def _float_svd(M: ScalarMatrix):
+    """(rank, dense M, singular values, V^H) of a finite float matrix."""
+    import numpy as np
+
+    if not M.is_finite():
+        raise ValueError("matrix has non-finite entries")
     rows, cols = M.shape
+    A = np.zeros(M.shape, dtype=complex)
+    for (r, c), v in M.entries.items():
+        A[r, c] = v
     if rows == 0 or cols == 0:
-        return 0, np.zeros((0,)), np.eye(cols, dtype=complex)
-    _, sv, vh = np.linalg.svd(M.array)
+        return 0, A, np.zeros((0,)), np.eye(cols, dtype=complex)
+    _, sv, vh = np.linalg.svd(A)
     if sv.size == 0 or sv[0] == 0.0:
-        return 0, sv, vh
+        return 0, A, sv, vh
     rank = int(np.count_nonzero(sv > DEFAULT_FLOAT_TOL * sv[0]))
-    return rank, sv, vh
+    return rank, A, sv, vh
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +209,6 @@ def _axpy(row: dict, a, pivot: dict, p: int) -> list:
     return new
 
 
-def _as_qqi(x) -> QQi:
-    """An int, Fraction or QQi entry of the RREF's field as a QQi."""
-    return x if type(x) is QQi else QQi(x)
-
-
 # ---------------------------------------------------------------------------
 # public surface
 
@@ -217,9 +216,7 @@ def rank_nullity(M: ScalarMatrix) -> tuple[int, int]:
     """(rank, nullity) with rank + nullity = cols; exact in exact mode."""
     cols = M.shape[1]
     if M.mode == FLOAT:
-        if not M.is_finite():
-            raise ValueError("matrix has non-finite entries")
-        rank, _, _ = _float_svd(M)
+        rank = _float_svd(M)[0]
         return rank, cols - rank
     if _certified_full_rank(M):
         return cols, 0
@@ -232,13 +229,13 @@ def nullspace_basis(M: ScalarMatrix) -> list:
     float vectors are unit-norm. Every vector is re-verified against M."""
     cols = M.shape[1]
     if M.mode == FLOAT:
-        if not M.is_finite():
-            raise ValueError("matrix has non-finite entries")
-        rank, sv, vh = _float_svd(M)
+        import numpy as np
+
+        rank, A, sv, vh = _float_svd(M)
         basis = [np.conj(vh[k]) for k in range(rank, cols)]
         scale = float(sv[0]) if sv.size else 0.0
         for v in basis:
-            if np.linalg.norm(M.array @ v) > \
+            if np.linalg.norm(A @ v) > \
                     max(DEFAULT_FLOAT_TOL * scale, 1e-300) * np.linalg.norm(v) * 10:
                 raise AssertionError("float kernel vector failed verification")
         return basis

@@ -580,7 +580,7 @@ def _multiply_entries(T, side, domain_basis, codomain_basis) -> dict:
                     c = c * math.sqrt(ring._dim(label) / ring._dim(key[0]))
                 prev = entries.get((row, col))
                 entries[(row, col)] = c if prev is None else prev + c
-    return {k: v for k, v in entries.items() if v}
+    return entries
 
 
 def full_mult_matrix(T: MatrixOverPol, side: str = "right") -> RestrictedOperator:

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import exactla
 from .folner import ExhaustionReport, _profile_row
 from .fusion import LabelSet, ball, ball_boundary, weighted_size
@@ -194,9 +192,6 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
 def _minus_block(A: exactla.ScalarMatrix, B: exactla.ScalarMatrix) -> exactla.ScalarMatrix:
     """[A | -B], the matrix of (x, y) -> A x - B y; A and B share their rows."""
     rows, d = A.shape
-    shape = (rows, d + B.shape[1])
-    if A.mode == EXACT:
-        entries = dict(A.entries)
-        entries.update(((r, d + c), -v) for (r, c), v in B.entries.items())
-        return exactla.ScalarMatrix(EXACT, shape, entries=entries)
-    return exactla.ScalarMatrix(A.mode, shape, array=np.hstack([A.array, -B.array]))
+    entries = dict(A.entries)
+    entries.update(((r, d + c), -v) for (r, c), v in B.entries.items())
+    return exactla.ScalarMatrix(A.mode, (rows, d + B.shape[1]), entries=entries)

@@ -239,7 +239,8 @@ def tower_kernel_dims(T: MatrixOverPol, tower: QuotientTower, F,
     bound = 2 * T.n * estimate.boundary_ratio
 
     def level(qmap: QuotientMap) -> LevelReport:
-        injective = qmap.injective_on(omega)
+        omega_i = qmap.push_set(omega)
+        injective = len(omega_i) == len(omega)
         Ti = qmap.push_matrix(T)
         qdim = exact_mvn_dim_finite(Ti, side=side)
         if not injective:
@@ -248,14 +249,13 @@ def tower_kernel_dims(T: MatrixOverPol, tower: QuotientTower, F,
                                boundary_pushforward_ok=None, weighted_sizes_ok=None,
                                transport_ok=None, transport_gap=None)
         tring = qmap.target.ring
-        Si = qmap.push_set(S)
-        Fi = qmap.push_set(F)
+        Fi, Si, bd_i = (qmap.push_set(E) for E in (F, S, dec.boundary))
         supp_ok = Ti.support() == Si
         dec_i = boundary_decomposition(tring, Fi, Si, side=side)
-        bd_ok = qmap.push_set(dec.boundary) == dec_i.boundary
+        bd_ok = bd_i == dec_i.boundary
         sizes_ok = all(
-            weighted_size(tring, qmap.push_set(E)) == weighted_size(ring, E)
-            for E in (F, S, dec.boundary, omega))
+            weighted_size(tring, Ei) == weighted_size(ring, E)
+            for E, Ei in ((F, Fi), (S, Si), (dec.boundary, bd_i), (omega, omega_i)))
         gap = abs(estimate.lower - qdim)
         transport_ok = gap <= bound
         if not (supp_ok and bd_ok and sizes_ok and transport_ok):

@@ -155,7 +155,7 @@ def test_large_fullrank_certified():
 
 def test_float_rank_and_nullspace():
     arr = np.array([[1.0, 1.0], [1.0, 1.0]])
-    M = ScalarMatrix(FLOAT, arr.shape, array=arr.astype(complex))
+    M = ScalarMatrix.from_rows(arr, FLOAT)
     assert rank_nullity(M) == (1, 1)
     (v,) = nullspace_basis(M)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
@@ -166,22 +166,23 @@ def test_float_rank_stable_under_small_noise():
     rng = np.random.default_rng(7)
     base = rng.standard_normal((8, 6)) @ np.diag([1, 1, 1, 1, 0, 0]) \
         @ rng.standard_normal((6, 6))
-    M = ScalarMatrix(FLOAT, base.shape, array=base.astype(complex))
+    M = ScalarMatrix.from_rows(base, FLOAT)
     tol = DEFAULT_FLOAT_TOL
     rank, _ = rank_nullity(M)
     scale = np.linalg.svd(base, compute_uv=False)[0]
     for seed in range(5):
         noise = np.random.default_rng(seed).standard_normal(base.shape)
         noise *= 0.1 * tol * scale / np.linalg.norm(noise, 2)
-        P = ScalarMatrix(FLOAT, base.shape, array=(base + noise).astype(complex))
+        P = ScalarMatrix.from_rows(base + noise, FLOAT)
         assert rank_nullity(P)[0] == rank
 
 
-def test_float_nonfinite_rejected():
-    arr = np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)
-    M = ScalarMatrix(FLOAT, arr.shape, array=arr)
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("kernel", [rank_nullity, nullspace_basis])
+def test_float_nonfinite_rejected(bad, kernel):
+    M = ScalarMatrix.from_rows([[bad, 0.0], [0.0, 1.0]], FLOAT)
     with pytest.raises(ValueError):
-        rank_nullity(M)
+        kernel(M)
 
 
 def test_deterministic_outputs():
@@ -393,14 +394,19 @@ def test_leading_row_certificate_rejects(entries, shape, rank):
     # wide: straight to the RREF, where a stored zero would become a pivot
     ({(0, 0): QQi(0), (0, 1): QQi(1), (1, 1): QQi(1), (1, 2): QQi(1)}, (2, 3), 2),
     ({(0, 0): QQi(0)}, (1, 1), 0),
+    # float storage is the same sparse dict and drops a stored 0j
+    ({(0, 0): 0j, (0, 1): 1 + 0j, (1, 1): 1 + 0j, (1, 2): 1 + 0j}, (2, 3), 2),
 ])
 def test_constructor_drops_stored_zeros(entries, shape, rank):
-    M = ScalarMatrix(EXACT, shape, entries=entries)
+    mode = FLOAT if type(entries[(0, 0)]) is complex else EXACT
+    M = ScalarMatrix(mode, shape, entries=entries)
     assert all(M.entries.values())
     assert rank_nullity(M) == (rank, shape[1] - rank)
     basis = nullspace_basis(M)
     assert len(basis) == shape[1] - rank
-    assert all(not any(M.matvec(v)) for v in basis)
+    for v in basis:
+        image = M.matvec(v)
+        assert not any(image) if mode == EXACT else np.linalg.norm(image) < 1e-12
 
 
 _NONZERO_GAUSSIAN = _GAUSSIAN_INTEGERS.filter(bool)

@@ -124,7 +124,7 @@ def test_canonical_json_matches_golden(case, tmp_path):
     assert render(case, tmp_path).encode() == (GOLDEN_DIR / f"{case}.json").read_bytes()
 
 
-_WITHOUT_SYMPY = """
+_WITHOUT_SYMPY_OR_NUMPY = """
 import sys
 import folnerlab
 from folnerlab.cli import main
@@ -134,12 +134,13 @@ M = folnerlab.ScalarMatrix.from_entries(wide, (40, 41), EXACT)
 assert folnerlab.rank_nullity(M) == (40, 1)
 main(sys.argv[1:])
 assert "sympy" not in sys.modules, "sympy was imported"
+assert "numpy" not in sys.modules, "numpy was imported"
 """
 
 
-def test_exact_routes_run_without_sympy(tmp_path):
-    # sympy is the tests' reference only: the library's RREF and a CLI case
-    # that reaches it import nothing of it
+def test_exact_routes_import_neither_sympy_nor_numpy(tmp_path):
+    # sympy is the tests' reference only and numpy serves the float SVD only:
+    # the library's RREF and a CLI case that reaches it import neither
     case = "zero_divisor_certificate"
     stem = "zd"
     path = tmp_path / f"{stem}.json"
@@ -149,7 +150,7 @@ def test_exact_routes_run_without_sympy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SYMPY, *argv], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SYMPY_OR_NUMPY, *argv], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (GOLDEN_DIR / f"{case}.json").read_bytes()

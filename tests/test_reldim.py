@@ -413,9 +413,7 @@ _COEFFS = st.tuples(st.fractions(-9, 9, max_denominator=3), st.integers(-3, 3))
 
 
 def _svd_rank(M):
-    """numpy's SVD rank of a ScalarMatrix, exact entries cast to complex."""
-    if M.mode == FLOAT:
-        return int(np.linalg.matrix_rank(M.array))
+    """numpy's SVD rank of a ScalarMatrix, its entries cast to complex."""
     cast = np.zeros(M.shape, dtype=complex)
     for (r, c), v in M.entries.items():
         cast[r, c] = complex(v)
