@@ -124,12 +124,13 @@ def isoperimetric_profile(ring: FusionRing, S, max_radius: int) -> list[ProfileR
 
 # ---------------------------------------------------------------------------
 # independent re-validation (second code path, on purpose not reusing
-# boundary_decomposition / weighted_size)
+# boundary_decomposition / weighted_size); the labels are checked once at the
+# top, and the products, conjugates and dimensions after that trust them
 
 def _weight_by_loop(ring, labels) -> int:
     total = 0
     for u in labels:
-        d = ring.dim(u)
+        d = ring._dim(u)
         total += d * d
     return total
 
@@ -140,7 +141,7 @@ def verify_certificate(ring: FusionRing, cert: FolnerCertificate) -> bool:
         return False
     F = set(cert.F)
     S = set(cert.S)
-    if not S or {ring.conj(u) for u in F} != F:
+    if not S or {ring._conj(u) for u in F} != F:
         return False
     inner_boundary = set()
     for u in F:
@@ -153,7 +154,7 @@ def verify_certificate(ring: FusionRing, cert: FolnerCertificate) -> bool:
     candidates = set()
     for w in F:
         for v in S:
-            candidates.update(u for u in ring.product(w, ring.conj(v)) if u not in F)
+            candidates.update(u for u in ring.product(w, ring._conj(v)) if u not in F)
     outer_boundary = {u for u in candidates
                       if any(any(x in F for x in ring.product(u, v)) for v in S)}
     sym = inner_boundary | outer_boundary

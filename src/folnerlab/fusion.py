@@ -30,9 +30,12 @@ Three provider families are built in:
 
 Labels are checked once, where a set of them enters the library: the checked
 set is a ``LabelSet`` that remembers its ring, every set built from it is one
-too, and ``FusionRing.label_set`` passes it through unchanged. Inner loops run
-on the trusted surface (``_dim``, ``_conj``, ``_support``), which assumes
-canonical labels and validates nothing.
+too, and ``FusionRing.label_set`` passes it through unchanged. A single label
+is checked by ``FusionRing.check_label``, the only caller of ``normalize``
+(type-exact: ``True`` is not the integer label 1). After that nothing
+validates a label again: ``product`` and the trusted surface (``_dim``,
+``_conj``, ``_support``) assume canonical labels on every ring, and the group
+rings multiply by the trusted group law.
 
 Rings are immutable after construction; the ball cache is pure and only
 ever grows.
@@ -79,7 +82,9 @@ class FusionRing:
         raise NotImplementedError
 
     def product(self, u, v) -> dict:
-        """Multiplicity map {w: N_uv^w} of u x v; all values >= 1."""
+        """Multiplicity map {w: N_uv^w} of u x v; all values >= 1. On every
+        ring u and v must be canonical labels, and nothing is checked: the
+        checked form is ``product_support``."""
         raise NotImplementedError
 
     def sort_key(self, u):
@@ -142,7 +147,7 @@ class SU2FusionRing(FusionRing):
     unit = 0
 
     def normalize(self, u):
-        if not isinstance(u, int) or u < 0:
+        if type(u) is not int or u < 0:
             raise ValueError(f"{u!r} is not a nonnegative integer")
         return u
 
@@ -173,7 +178,7 @@ class GroupFusionRing(FusionRing):
         return self.group.normalize(u)
 
     def product(self, u, v):
-        return {self.group.mul(u, v): 1}
+        return {self.group._mul(u, v): 1}
 
     def _dim(self, u):
         return 1

@@ -8,7 +8,10 @@ Two families cover every provider and tower target we need:
   reduced mod m, with (a,b,c)*(a',b',c') = (a+a', b+b', c+c'+a*b').
 
 Elements are kept in canonical normal form: a plain int for a single cyclic
-factor, a tuple of ints otherwise.
+factor, a tuple of ints otherwise. ``normalize`` is the one checked entry: it
+type-checks a label (ints exactly, so no bool) and reduces it. Everything
+else, the group law ``_mul``/``_inv`` and the reduction ``_reduce``, trusts
+its arguments to have the group's label shape and validates nothing.
 """
 
 from __future__ import annotations
@@ -33,37 +36,32 @@ class CyclicProductGroup:
             return f"Z^{len(parts)}"
         return "x".join(parts)
 
-    def _tuple(self, g):
-        if self.scalar_labels:
-            if not isinstance(g, int):
-                raise ValueError(f"label {g!r} is not an integer")
-            return (g,)
-        if not (isinstance(g, (tuple, list)) and len(g) == len(self.moduli)
-                and all(isinstance(x, int) for x in g)):
-            raise ValueError(f"label {g!r} does not match {self.name}")
-        return tuple(g)
-
     def _out(self, t):
         return t[0] if self.scalar_labels else t
 
     def normalize(self, g):
-        t = self._tuple(g)
-        if self._free:
-            return self._out(t)
-        return self._out(tuple(x % m if m else x for x, m in zip(t, self.moduli)))
+        if self.scalar_labels:
+            if type(g) is not int:
+                raise ValueError(f"label {g!r} is not an integer")
+            return self._reduce(g)
+        if not (isinstance(g, (tuple, list)) and len(g) == len(self.moduli)
+                and all(type(x) is int for x in g)):
+            raise ValueError(f"label {g!r} does not match {self.name}")
+        return self._reduce(tuple(g))
 
     def identity(self):
         return self._out((0,) * len(self.moduli))
 
-    def mul(self, g, h):
-        return self._mul(self.normalize(g), self.normalize(h))
+    # trusted surface, nothing is validated: _reduce takes any label of this
+    # shape, the group law labels in normal form
 
-    def inv(self, g):
-        return self._inv(self.normalize(g))
-
-    # trusted group law: arguments are labels already in normal form, so
-    # nothing is validated; the library's inner loops call these after the
-    # labels were checked once on entry
+    def _reduce(self, g):
+        """The normal form of g, reduced mod the moduli."""
+        if self._free:
+            return g
+        if self.scalar_labels:
+            return g % self.moduli[0]
+        return tuple(x % m if m else x for x, m in zip(g, self.moduli))
 
     def _mul(self, g, h):
         if self.scalar_labels:
@@ -108,32 +106,29 @@ class HeisenbergGroup:
     def name(self) -> str:
         return "heisenberg" if not self.modulus else f"heisenberg/{self.modulus}"
 
-    def _red(self, t):
-        m = self.modulus
-        return tuple(x % m for x in t) if m else t
-
     def normalize(self, g):
         if not (isinstance(g, (tuple, list)) and len(g) == 3
-                and all(isinstance(x, int) for x in g)):
+                and all(type(x) is int for x in g)):
             raise ValueError(f"label {g!r} is not a Heisenberg triple")
-        return self._red(tuple(g))
+        return self._reduce(tuple(g))
 
     def identity(self):
         return (0, 0, 0)
 
-    def mul(self, g, h):
+    # trusted surface, as for CyclicProductGroup
+
+    def _reduce(self, t):
+        m = self.modulus
+        return tuple(x % m for x in t) if m else t
+
+    def _mul(self, g, h):
         a, b, c = g
         d, e, f = h
-        return self._red((a + d, b + e, c + f + a * e))
+        return self._reduce((a + d, b + e, c + f + a * e))
 
-    def inv(self, g):
+    def _inv(self, g):
         a, b, c = g
-        return self._red((-a, -b, a * b - c))
-
-    # the law reads normal forms without validating them, so the trusted
-    # forms used in inner loops are the same functions
-    _mul = mul
-    _inv = inv
+        return self._reduce((-a, -b, a * b - c))
 
     @property
     def is_finite(self) -> bool:

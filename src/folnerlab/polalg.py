@@ -470,10 +470,11 @@ def _component_basis(ring, labels, n: int) -> tuple:
 
 
 def _check_operator(T: MatrixOverPol, side: str) -> None:
-    if T.is_zero():
-        raise AlgebraError("restricted multiplication needs a nonzero matrix")
+    """The precondition of every operator of T: a known side, then T != 0."""
     if side not in ("right", "left"):
         raise AlgebraError(f"side must be 'left' or 'right', got {side!r}")
+    if T.is_zero():
+        raise AlgebraError("restricted multiplication needs a nonzero matrix")
 
 
 def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",

@@ -113,7 +113,7 @@ def relative_dimension(algebra, vectors, F, n: int = 1) -> Fraction:
 
 def kernel_dim_estimate(T: MatrixOverPol, F, side: str = "right") -> DimensionEstimate:
     """The error sandwich for dim ker of multiplication by T over window F."""
-    _require_nonzero(T)
+    _check_operator(T, side)
     ring = T.algebra.ring
     F = _require_conj_closed(ring, F)
     return _estimate(T, boundary_decomposition(ring, F, T.support(), side=side), side)
@@ -122,13 +122,8 @@ def kernel_dim_estimate(T: MatrixOverPol, F, side: str = "right") -> DimensionEs
 def _ball_estimate(T: MatrixOverPol, radius: int, side: str) -> DimensionEstimate:
     """kernel_dim_estimate(T, ball(ring, supp T, radius), side), with the ball
     decomposed from its outer shell; a ball is conjugation-closed."""
-    _require_nonzero(T)
+    _check_operator(T, side)
     return _estimate(T, ball_boundary(T.algebra.ring, T.support(), radius, side=side), side)
-
-
-def _require_nonzero(T: MatrixOverPol) -> None:
-    if T.is_zero():
-        raise AlgebraError("kernel estimate needs a nonzero matrix")
 
 
 def _estimate(T: MatrixOverPol, dec: BoundaryData, side: str) -> DimensionEstimate:
@@ -159,10 +154,10 @@ def exact_mvn_dim_finite(T: MatrixOverPol, side: str = "right") -> Fraction:
     ring = T.algebra.ring
     if not ring.is_finite:
         raise AlgebraError(f"ring {ring.tag} is infinite; use kernel_dim_estimate")
-    if T.is_zero():
+    if T.is_zero() and side in ("right", "left"):
         return Fraction(T.n)
+    _check_operator(T, side)  # a bad side raises here, for a zero T too
     if T.algebra.mode == EXACT:
-        _check_operator(T, side)
         return _blocks.kernel_dim(T)
     op = full_mult_matrix(T, side=side)
     _, nullity = exactla.rank_nullity(op.matrix)

@@ -50,10 +50,11 @@ class QuotientMap:
             raise AlgebraError("quotient map does not preserve the unit")
 
     def push_label(self, u):
-        return self.target.ring.normalize(u)
+        """The image of the canonical source label u; not checked."""
+        return self.target.ring.group._reduce(u)
 
     def push_set(self, F) -> LabelSet:
-        return LabelSet(self.target.ring, map(self.push_label, F))
+        return LabelSet(self.target.ring, map(self.push_label, self.source.ring.label_set(F)))
 
     def push_element(self, a: AlgebraElement) -> AlgebraElement:
         if a.algebra is not self.source:
@@ -117,8 +118,7 @@ class QuotientTower:
         """Reduction from level j down to level i (i <= j), on labels."""
         if not 0 <= i <= j < len(self.maps):
             raise IndexError("levels out of range")
-        target = self.maps[i].target.ring
-        return target.normalize
+        return self.maps[i].target.ring.group._reduce
 
     def __len__(self):
         return len(self.maps)

@@ -55,6 +55,22 @@ def label_checks(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def group_normalize_calls(monkeypatch):
+    """The (ring, label) pairs passed to GroupFusionRing.normalize from here on."""
+    from folnerlab.fusion import GroupFusionRing
+
+    calls = []
+    normalize = GroupFusionRing.normalize
+
+    def spying(ring, u):
+        calls.append((ring, u))
+        return normalize(ring, u)
+
+    monkeypatch.setattr(GroupFusionRing, "normalize", spying)
+    return calls
+
+
 def random_element(algebra, rng, labels, max_terms=4, complex_coeffs=True):
     """Seeded random nonzero element with support inside ``labels``."""
     labels = list(labels)

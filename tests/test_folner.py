@@ -158,6 +158,13 @@ def test_verifier_rejects_non_canonical_labels():
     assert not verify_certificate(Z6, replace(cert, F=cert.F[:-1] + (cert.F[-1] + 6,)))
 
 
+def test_verifier_checks_each_label_once(label_checks):
+    cert = folner_search(Z2, [(1, 0), (0, 1)], Fraction(1, 2), 64)
+    label_checks.clear()
+    assert verify_certificate(Z2, cert)
+    assert len(label_checks) == len(cert.F) + len(cert.S)
+
+
 def test_every_emitted_certificate_revalidates():
     for ring, S, eps in [(SU2, [1], Fraction(1, 3)),
                          (Z2, [(1, 0), (0, 1)], Fraction(1, 2)),

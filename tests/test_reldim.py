@@ -168,7 +168,7 @@ def test_estimate_leaves_the_outer_boundary_unread(monkeypatch, side):
     # u v (v u on the left) lies in F}; S lies in the 3x3 cell, so every
     # such u lies in the box of radius N + 1
     (dec,) = records
-    mul = ring.group.mul
+    mul = ring.group._mul
     F = frozenset(F)
     direct = {u for u in box2(N + 1) if u not in F
               and any((mul(u, v) if side == "right" else mul(v, u)) in F for v in S)}
@@ -333,6 +333,16 @@ def test_mvn_s3_unit_invertible():
 def test_mvn_rejects_infinite_provider():
     with pytest.raises(AlgebraError):
         exact_mvn_dim_finite(MatrixOverPol.from_element(AZ.one()))
+
+
+@pytest.mark.parametrize("algebra", [AZMOD2, AS3], ids=lambda A: A.tag)
+def test_mvn_checks_the_side_before_the_zero_shortcut(algebra):
+    zero = MatrixOverPol.from_element(algebra.zero())
+    assert exact_mvn_dim_finite(zero) == 1
+    with pytest.raises(AlgebraError, match="side"):
+        exact_mvn_dim_finite(zero, side="up")
+    with pytest.raises(AlgebraError, match="side"):
+        exact_mvn_dim_finite(MatrixOverPol.from_element(algebra.one()), side="up")
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,16 @@ def test_cli_error_paths(capsys, tmp_path):
         assert (code, out) == (1, None)
 
 
+def test_cli_rejects_boolean_labels(capsys):
+    # JSON true is not the integer label 1, so it never reaches a report
+    code, out = run_cli(capsys, ["folner", "--ring", "group:Z", "--S", "true",
+                                 "--epsilon", "1/2", "--max-radius", "8"])
+    assert (code, out) == (1, None)
+    with pytest.raises(SchemaError):
+        parse_element({"algebra": "group:Z", "mode": "exact",
+                       "terms": [{"irrep": True, "row": 1, "col": 1, "re": "1", "im": "0"}]})
+
+
 def test_cli_deterministic_bytes(capsys, tmp_path):
     path = write(tmp_path, "omg.json", AZ.group_element({0: 1, 1: -1}))
     argv = ["kernel-dim", "--matrix", path, "--window", "7"]
