@@ -41,7 +41,7 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from . import exactla
-from .groups import HeisenbergGroup
+from .fusion import HeisenbergRing
 from .scalars import EXACT, QQi
 
 
@@ -108,15 +108,15 @@ def _block_nullity(cells: dict, size: int, L: int) -> int:
 
 def kernel_dim(T) -> Fraction:
     """Kernel dimension of multiplication by a nonzero T, on either side,
-    over the exact group ring of a finite CyclicProductGroup or of
-    HeisenbergGroup(m)."""
-    group = T.algebra.ring.group
+    over the exact group ring of a finite CyclicProductRing or of
+    HeisenbergRing(m)."""
+    ring = T.algebra.ring
     n = T.n
     coeffs = [(p, q, g, c) for p, row in enumerate(T.entries)
               for q, t in enumerate(row) for (g, _, _), c in t._coeffs.items()]
     gaussian = any(c.im for *_, c in coeffs)
-    heisenberg = isinstance(group, HeisenbergGroup)
-    L = group.modulus if heisenberg else lcm(*group.moduli)
+    heisenberg = isinstance(ring, HeisenbergRing)
+    L = ring.modulus if heisenberg else lcm(*ring.moduli)
     if gaussian:
         L = lcm(L, 4)
     units = [u for u in range(1, L) if gcd(u, L) == 1 and (u % 4 == 1 or not gaussian)]
@@ -130,7 +130,7 @@ def kernel_dim(T) -> Fraction:
     nullity = covered = 0
     seen = set()
     if heisenberg:
-        m = group.modulus
+        m = ring.modulus
         scale = L // m
         for k in range(m):
             d = m // gcd(m, k)
@@ -152,9 +152,9 @@ def kernel_dim(T) -> Fraction:
                 covered += len(orbit) * d * d
         order = m ** 3
     else:
-        moduli = group.moduli
+        moduli = ring.moduli
         scales = [L // mi for mi in moduli]
-        if group.scalar_labels:
+        if ring.scalar_labels:
             terms = [(p, q, (g,), parts) for p, q, g, parts in terms]
         for k in product(*map(range, moduli)):
             if k in seen:

@@ -28,6 +28,17 @@ Three provider families are built in:
 * ``finite:S3``  -- the representation ring of S3: labels triv, sgn, std
                     with dimensions 1, 1, 2.
 
+A group ring is its group, in one of two families:
+
+* ``CyclicProductRing`` -- products of cyclic factors (modulus 0 meaning an
+  infinite Z factor), e.g. Z, Z^2, Z/6, Z x Z/2, (Z/m) x Z/2;
+* ``HeisenbergRing``    -- the discrete Heisenberg group H3(Z) in normal
+  form (a, b, c), optionally reduced mod m, with
+  (a,b,c)*(a',b',c') = (a+a', b+b', c+c'+a*b').
+
+Group labels are kept in canonical normal form: a plain int for a single
+cyclic factor, a tuple of ints otherwise, reduced mod the moduli.
+
 Labels are checked once, where a set of them enters the library: the checked
 set is a ``LabelSet`` that remembers its ring, every set built from it is one
 too, and ``FusionRing.label_set`` passes it through unchanged. A single label
@@ -35,7 +46,8 @@ is checked by ``FusionRing.check_label``, the only caller of ``normalize``
 (type-exact: ``True`` is not the integer label 1). After that nothing
 validates a label again: ``product`` and the trusted surface (``_dim``,
 ``_conj``, ``_support``) assume canonical labels on every ring, and the group
-rings multiply by the trusted group law.
+rings derive them from their trusted group law ``_mul``/``_inv``; their
+``_reduce`` takes any label of the group's shape to its normal form.
 
 Rings are immutable after construction; the ball cache is pure and only
 ever grows.
@@ -43,9 +55,8 @@ ever grows.
 
 from __future__ import annotations
 
+from operator import add, neg
 from typing import Iterable
-
-from .groups import parse_group_name
 
 
 class InvalidLabelError(ValueError):
@@ -165,32 +176,134 @@ class SU2FusionRing(FusionRing):
 
 
 class GroupFusionRing(FusionRing):
-    """Group fusion ring: one 1-dimensional label per group element."""
+    """Group fusion ring: one 1-dimensional label per group element. A
+    subclass is its group: it sets ``name``, ``unit`` and ``is_finite`` and
+    provides ``normalize`` (type-exact) and the trusted ``_reduce``, ``_mul``,
+    ``_inv`` and ``elements``, from which the ring operations derive."""
 
-    def __init__(self, group):
+    def __init__(self):
         super().__init__()
-        self.group = group
-        self.tag = f"group:{group.name}"
-        self.unit = group.identity()
-        self.is_finite = group.is_finite
-
-    def normalize(self, u):
-        return self.group.normalize(u)
+        self.tag = f"group:{self.name}"
 
     def product(self, u, v):
-        return {self.group._mul(u, v): 1}
+        return {self._mul(u, v): 1}
 
     def _dim(self, u):
         return 1
 
     def _conj(self, u):
-        return self.group._inv(u)
+        return self._inv(u)
 
     def _support(self, u, v):
-        return (self.group._mul(u, v),)
+        return (self._mul(u, v),)
 
     def irreducibles(self):
-        return self.sorted_labels(self.group.elements())
+        return self.sorted_labels(self.elements())
+
+
+class CyclicProductRing(GroupFusionRing):
+    """Direct product of cyclic groups; ``moduli[k] == 0`` means a Z factor."""
+
+    def __init__(self, moduli: tuple[int, ...]):
+        if not moduli or any(m < 0 or m == 1 for m in moduli):
+            raise ValueError(f"bad moduli {moduli!r}: each must be 0 or >= 2")
+        self.moduli = tuple(moduli)
+        self.scalar_labels = len(moduli) == 1
+        self._free = not any(moduli)
+        self.is_finite = all(moduli)
+        parts = ["Z" if m == 0 else f"Z/{m}" for m in moduli]
+        self.name = f"Z^{len(parts)}" if len(parts) > 1 and self._free else "x".join(parts)
+        self.unit = self._out((0,) * len(moduli))
+        super().__init__()
+
+    def _out(self, t):
+        return t[0] if self.scalar_labels else t
+
+    def normalize(self, g):
+        if self.scalar_labels:
+            if type(g) is not int:
+                raise ValueError(f"label {g!r} is not an integer")
+            return self._reduce(g)
+        if not (isinstance(g, (tuple, list)) and len(g) == len(self.moduli)
+                and all(type(x) is int for x in g)):
+            raise ValueError(f"label {g!r} does not match {self.name}")
+        return self._reduce(tuple(g))
+
+    # trusted surface, nothing is validated: _reduce takes any label of this
+    # shape, the group law labels in normal form
+
+    def _reduce(self, g):
+        """The normal form of g, reduced mod the moduli."""
+        if self._free:
+            return g
+        if self.scalar_labels:
+            return g % self.moduli[0]
+        return tuple(x % m if m else x for x, m in zip(g, self.moduli))
+
+    def _mul(self, g, h):
+        if self.scalar_labels:
+            m = self.moduli[0]
+            return (g + h) % m if m else g + h
+        if self._free:
+            return tuple(map(add, g, h))
+        return tuple((x + y) % m if m else x + y for x, y, m in zip(g, h, self.moduli))
+
+    def _inv(self, g):
+        if self.scalar_labels:
+            m = self.moduli[0]
+            return (-g) % m if m else -g
+        if self._free:
+            return tuple(map(neg, g))
+        return tuple((-x) % m if m else -x for x, m in zip(g, self.moduli))
+
+    def elements(self):
+        if not self.is_finite:
+            raise ValueError(f"{self.name} is infinite")
+        out = [()]
+        for m in self.moduli:
+            out = [t + (x,) for t in out for x in range(m)]
+        return [self._out(t) for t in out]
+
+
+class HeisenbergRing(GroupFusionRing):
+    """H3 over Z (modulus 0) or over Z/m; normal form (a, b, c)."""
+
+    unit = (0, 0, 0)
+
+    def __init__(self, modulus: int = 0):
+        if modulus < 0 or modulus == 1:
+            raise ValueError("modulus must be 0 or >= 2")
+        self.modulus = modulus
+        self.is_finite = bool(modulus)
+        self.name = f"heisenberg/{modulus}" if modulus else "heisenberg"
+        super().__init__()
+
+    def normalize(self, g):
+        if not (isinstance(g, (tuple, list)) and len(g) == 3
+                and all(type(x) is int for x in g)):
+            raise ValueError(f"label {g!r} is not a Heisenberg triple")
+        return self._reduce(tuple(g))
+
+    # trusted surface, as for CyclicProductRing
+
+    def _reduce(self, t):
+        m = self.modulus
+        return tuple(x % m for x in t) if m else t
+
+    def _mul(self, g, h):
+        a, b, c = g
+        d, e, f = h
+        return self._reduce((a + d, b + e, c + f + a * e))
+
+    def _inv(self, g):
+        a, b, c = g
+        return self._reduce((-a, -b, a * b - c))
+
+    def elements(self):
+        if not self.modulus:
+            raise ValueError("heisenberg over Z is infinite")
+        m = self.modulus
+        return [(a, b, c) for a in range(m) for b in range(m) for c in range(m)]
 
 
 class S3FusionRing(FusionRing):
@@ -246,13 +359,38 @@ def ring_from_tag(tag: str) -> FusionRing:
         elif tag == "finite:S3":
             ring = S3FusionRing()
         elif tag.startswith("group:"):
-            ring = GroupFusionRing(parse_group_name(tag[len("group:"):]))
+            ring = _group_ring(tag[len("group:"):])
         else:
             raise ValueError(f"unknown ring tag {tag!r}")
         _REGISTRY.setdefault(ring.tag, ring)
         if tag != ring.tag:
             _REGISTRY[tag] = _REGISTRY[ring.tag]
     return _REGISTRY[tag]
+
+
+def _group_ring(name: str) -> GroupFusionRing:
+    """The group ring for the <name> part of a ``group:`` ring tag."""
+    if name.startswith("heisenberg"):
+        rest = name[len("heisenberg"):]
+        if not rest:
+            return HeisenbergRing(0)
+        if rest.startswith("/") and rest[1:].isdigit():
+            return HeisenbergRing(int(rest[1:]))
+        raise ValueError(f"bad heisenberg tag {name!r}")
+    if name.startswith("Z^"):
+        d = name[2:]
+        if not d.isdigit() or int(d) < 1:
+            raise ValueError(f"bad power in group tag {name!r}")
+        return CyclicProductRing((0,) * int(d))
+    moduli = []
+    for part in name.split("x"):
+        if part == "Z":
+            moduli.append(0)
+        elif part.startswith("Z/") and part[2:].isdigit():
+            moduli.append(int(part[2:]))
+        else:
+            raise ValueError(f"bad factor {part!r} in group tag {name!r}")
+    return CyclicProductRing(tuple(moduli))
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +560,16 @@ def check_axioms(ring: FusionRing, labels: Iterable) -> dict:
     Checks, exactly: unit laws, conjugation involutivity and dimension
     invariance, dimension multiplicativity sum_w N_uv^w n_w = n_u n_v, and
     Frobenius reciprocity N_uv^w = N_{w conj(v)}^u = N_{conj(u) w}^v.
-    Returns a report dict with any failures listed.
+    Each label is checked once, on entry. Returns a report dict with any
+    failures listed.
     """
     labels = ring.sorted_labels(ring.label_set(labels))
+    conj, dim = ring._conj, ring._dim
     failures = []
     for u in labels:
-        if ring.conj(ring.conj(u)) != u:
+        if conj(conj(u)) != u:
             failures.append(("conj_involution", u))
-        if ring.dim(ring.conj(u)) != ring.dim(u):
+        if dim(conj(u)) != dim(u):
             failures.append(("conj_dimension", u))
         if dict(ring.product(ring.unit, u)) != {u: 1}:
             failures.append(("unit_law", u))
@@ -442,9 +582,9 @@ def check_axioms(ring: FusionRing, labels: Iterable) -> dict:
             prod = ring.product(u, v)
             if any(n < 1 for n in prod.values()):
                 failures.append(("nonpositive_multiplicity", (u, v)))
-            if sum(n * ring.dim(w) for w, n in prod.items()) != ring.dim(u) * ring.dim(v):
+            if sum(n * dim(w) for w, n in prod.items()) != dim(u) * dim(v):
                 failures.append(("dimension_multiplicativity", (u, v)))
-            ub, vb = ring.conj(u), ring.conj(v)
+            ub, vb = conj(u), conj(v)
             for w, n in prod.items():
                 if ring.product(w, vb).get(u, 0) != n:
                     failures.append(("frobenius_right", (u, v, w)))

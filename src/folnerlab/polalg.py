@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import chain
 
 from . import cg, exactla
 from .fusion import (BoundaryData, FusionRing, GroupFusionRing, InvalidLabelError,
                      LabelSet, S3FusionRing, SU2FusionRing, boundary_decomposition,
                      ring_from_tag)
-from .scalars import EXACT, FLOAT, QQi, as_scalar, scalar_zero
+from .scalars import EXACT, FLOAT, as_scalar, scalar_zero
 
 FLOAT_TRIM = 1e-13  # relative cutoff for roundoff debris in float products
 
@@ -123,17 +124,10 @@ class PolAlgebra:
             raise AlgebraError("operands live in different algebras")
         ring = self.ring
         if isinstance(ring, GroupFusionRing):
-            mul = ring.group._mul
-            out = {}
-            for (g, _, _), ca in a._coeffs.items():
-                for (h, _, _), cb in b._coeffs.items():
-                    k = (mul(g, h), 1, 1)
-                    v = out.get(k, QQi(0)) + ca * cb
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
-            return AlgebraElement._trusted(self, out)
+            mul = ring._mul
+            return AlgebraElement._summed(self, (((mul(g, h), 1, 1), ca * cb)
+                                                 for (g, _, _), ca in a._coeffs.items()
+                                                 for (h, _, _), cb in b._coeffs.items()))
         if isinstance(ring, S3FusionRing):
             fa = self._s3_evaluate(a)
             fb = self._s3_evaluate(b)
@@ -191,7 +185,7 @@ class PolAlgebra:
         out = {}
         if isinstance(ring, GroupFusionRing):
             for (g, _, _), c in a._coeffs.items():
-                out[(ring.group._inv(g), 1, 1)] = c.conjugate()
+                out[(ring._inv(g), 1, 1)] = c.conjugate()
         elif isinstance(ring, S3FusionRing):
             # all stored irreps are real, so the basis functions are
             # self-adjoint and only the coefficients conjugate
@@ -202,7 +196,7 @@ class PolAlgebra:
             for (la, i, j), c in a._coeffs.items():
                 sign = -1.0 if (j - i) % 2 else 1.0
                 out[(la, la + 2 - i, la + 2 - j)] = sign * c.conjugate()
-        return AlgebraElement._trusted(self, {k: v for k, v in out.items() if v})
+        return AlgebraElement._trusted(self, out)
 
     def __repr__(self):
         return f"<PolAlgebra {self.tag} ({self.mode})>"
@@ -232,28 +226,35 @@ class AlgebraElement:
     Values are immutable: arithmetic returns fresh elements. The constructor
     checks its terms {(label, i, j): coeff} (or {label: coeff}, meaning
     indices (1, 1)): canonical labels, indices in range, scalars of the
-    algebra's mode. ``_trusted`` wraps a coefficient map that is already
-    all three, for the library's own arithmetic.
+    algebra's mode. ``_summed`` adds up (key, value) pairs that are already
+    all three and drops the zero sums; ``_trusted`` wraps a coefficient map
+    that is, and holds no zero, for the library's own arithmetic.
     """
 
     __slots__ = ("algebra", "_coeffs")
 
     def __init__(self, algebra: PolAlgebra, terms=None):
-        coeffs = {}
-        for key, value in (terms or {}).items():
+        def checked(key, value):
             label, i, j = algebra._parse_key(key)
             n = algebra.ring._dim(label)
             if not (1 <= i <= n and 1 <= j <= n):
                 raise AlgebraError(
                     f"indices ({i},{j}) out of range for {label!r} (size {n})")
-            k = (label, i, j)
-            c = coeffs.get(k, scalar_zero(algebra.mode)) + as_scalar(value, algebra.mode)
-            if c:
-                coeffs[k] = c
-            elif k in coeffs:
-                del coeffs[k]
+            return (label, i, j), as_scalar(value, algebra.mode)
+
         self.algebra = algebra
-        self._coeffs = coeffs
+        self._coeffs = self._summed(
+            algebra, (checked(*term) for term in (terms or {}).items()))._coeffs
+
+    @classmethod
+    def _summed(cls, algebra: PolAlgebra, pairs) -> "AlgebraElement":
+        """The sum of the terms (key, value); a key may repeat, and a zero sum
+        is no term."""
+        coeffs = {}
+        for k, v in pairs:
+            prev = coeffs.get(k)
+            coeffs[k] = v if prev is None else prev + v
+        return cls._trusted(algebra, {k: v for k, v in coeffs.items() if v})
 
     @classmethod
     def _trusted(cls, algebra: PolAlgebra, coeffs: dict) -> "AlgebraElement":
@@ -293,14 +294,8 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check_same(other)
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            s = out.get(k, scalar_zero(self.algebra.mode)) + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return AlgebraElement._trusted(self.algebra, out)
+        return AlgebraElement._summed(self.algebra, chain(self._coeffs.items(),
+                                                          other._coeffs.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -534,7 +529,7 @@ def _translate_entries(T, side, interior, window) -> dict:
     of t = T[comp][k] (T[k][comp] on the left) as support, carrying t's
     coefficients. Translation is injective, so entries are copied from t
     and never summed: no scalar product is formed."""
-    mul = T.algebra.ring.group._mul
+    mul = T.algebra.ring._mul
     row_of = {label: r for r, label in enumerate(window)}
     size = len(window)
     entries = {}

@@ -18,14 +18,15 @@ operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _blocks, exactla
 from .fusion import BoundaryData, ball_boundary, boundary_decomposition, weighted_size
-from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, _basis_triples,
-                     _check_operator, _restricted_operator, full_mult_matrix)
-from .scalars import EXACT
+from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, _check_operator,
+                     _component_basis, _restricted_operator, full_mult_matrix)
+from .scalars import EXACT, FLOAT
 from .serialize import Report
 
 
@@ -66,14 +67,16 @@ def coordinates_in_window(algebra, vectors, F, n: int):
     """Coordinate rows of vectors of W_F^n in the orthonormal window basis.
 
     Vectors may be AlgebraElements (n = 1) or n-tuples of them; raw
-    coordinate rows of the right length pass through unchanged. A component
-    supported outside F is a precondition error.
+    coordinate rows of the right length pass through unchanged. An element
+    coefficient c of u^a_ij is the coordinate c / sqrt(n_a) of the basis
+    vector sqrt(n_a) u^a_ij, the inverse of
+    ``RestrictedOperator.elements_from_coords``. A component supported
+    outside F is a precondition error.
     """
     ring = algebra.ring
-    triples = _basis_triples(ring, ring.sorted_labels(F))
-    index = {(comp, *t): k for comp in range(n)
-             for k, t in enumerate(triples, start=comp * len(triples))}
-    dim = n * len(triples)
+    index = {key: k for k, key in enumerate(_component_basis(ring, ring.sorted_labels(F), n))}
+    dim = len(index)
+    scaled = algebra.mode == FLOAT
     rows = []
     for v in vectors:
         if isinstance(v, AlgebraElement):
@@ -90,7 +93,7 @@ def coordinates_in_window(algebra, vectors, F, n: int):
                     if k is None:
                         raise ValueError(
                             f"vector supported outside the window at {key[0]!r}")
-                    row[k] = c
+                    row[k] = c / math.sqrt(ring._dim(key[0])) if scaled else c
             rows.append([c if c is not None else 0 for c in row])
         else:
             if len(v) != dim:

@@ -101,7 +101,7 @@ def element_from_json(obj: dict, algebra: PolAlgebra | None = None) -> AlgebraEl
             f"mode {mode!r} does not match provider mode {algebra.mode!r} of {algebra.tag}")
     if not isinstance(obj["terms"], list):
         raise SchemaError("'terms' must be a list")
-    coeffs = {}
+    terms = []
     for k, term in enumerate(obj["terms"]):
         if not isinstance(term, dict) or "irrep" not in term:
             raise SchemaError(f"term #{k} is not an object with an 'irrep'")
@@ -114,15 +114,8 @@ def element_from_json(obj: dict, algebra: PolAlgebra | None = None) -> AlgebraEl
         if not (1 <= row <= n and 1 <= col <= n):
             raise SchemaError(
                 f"term #{k}: index ({row},{col}) out of range for {label!r} (size {n})")
-        c = _scalar_from_json(term, algebra.mode)
-        key = (label, row, col)
-        prev = coeffs.get(key)
-        c = c if prev is None else prev + c
-        if c:
-            coeffs[key] = c
-        elif key in coeffs:
-            del coeffs[key]
-    return AlgebraElement._trusted(algebra, coeffs)
+        terms.append(((label, row, col), _scalar_from_json(term, algebra.mode)))
+    return AlgebraElement._summed(algebra, terms)
 
 
 # -- reports -------------------------------------------------------------------

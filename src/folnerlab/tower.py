@@ -1,9 +1,11 @@
 """Quotient towers onto finite group providers and dimension approximation.
 
-A quotient map pushes a group provider onto a finite one by reducing normal
-forms (Z^d onto (Z/m)^d, Z x Z/2 onto (Z/m) x Z/2, Heisenberg onto Heisenberg
-mod m); a tower is an increasing chain of such maps whose moduli divide each
-other, so the connecting reductions exist and commute.
+A quotient map pushes a group provider onto a finite one of the same family
+by reducing normal forms with the target ring's ``_reduce``: a
+``CyclicProductRing`` onto one (Z^d onto (Z/m)^d, Z x Z/2 onto (Z/m) x Z/2),
+a ``HeisenbergRing`` onto Heisenberg mod m. A tower is an increasing chain
+of such maps whose moduli divide each other, so the connecting reductions
+exist and commute.
 
 The map is injective on a finite label set F when F pushes forward without
 collisions. On the omega set
@@ -25,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fusion import (GroupFusionRing, LabelSet, boundary_decomposition,
-                     weighted_size)
-from .groups import CyclicProductGroup, HeisenbergGroup
+from .fusion import (CyclicProductRing, GroupFusionRing, HeisenbergRing, LabelSet,
+                     boundary_decomposition, weighted_size)
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, algebra_for)
 from .reldim import (DimensionEstimate, _estimate, _require_conj_closed,
                      exact_mvn_dim_finite)
@@ -45,13 +46,13 @@ class QuotientMap:
             raise AlgebraError("quotient maps are implemented for group providers")
         if not tring.is_finite:
             raise AlgebraError("quotient target must be finite")
-        _check_reduction_compatible(sring.group, tring.group)
+        _check_reduction_compatible(sring, tring)
         if self.push_label(sring.unit) != tring.unit:
             raise AlgebraError("quotient map does not preserve the unit")
 
     def push_label(self, u):
         """The image of the canonical source label u; not checked."""
-        return self.target.ring.group._reduce(u)
+        return self.target.ring._reduce(u)
 
     def push_set(self, F) -> LabelSet:
         return LabelSet(self.target.ring, map(self.push_label, self.source.ring.label_set(F)))
@@ -59,16 +60,8 @@ class QuotientMap:
     def push_element(self, a: AlgebraElement) -> AlgebraElement:
         if a.algebra is not self.source:
             raise AlgebraError("element does not live in the tower source")
-        out = {}
-        for (g, _, _), c in a._coeffs.items():
-            k = (self.push_label(g), 1, 1)
-            v = out.get(k)
-            v = c if v is None else v + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return AlgebraElement._trusted(self.target, out)
+        return AlgebraElement._summed(self.target, (((self.push_label(g), 1, 1), c)
+                                                    for (g, _, _), c in a._coeffs.items()))
 
     def push_matrix(self, T: MatrixOverPol) -> MatrixOverPol:
         return MatrixOverPol(self.target,
@@ -82,16 +75,16 @@ class QuotientMap:
         return f"<QuotientMap {self.source.tag} ->> {self.target.tag}>"
 
 
-def _check_reduction_compatible(sg, tg):
-    if isinstance(sg, HeisenbergGroup) and isinstance(tg, HeisenbergGroup):
-        if sg.modulus and tg.modulus and sg.modulus % tg.modulus:
+def _check_reduction_compatible(sring, tring):
+    if isinstance(sring, HeisenbergRing) and isinstance(tring, HeisenbergRing):
+        if sring.modulus and tring.modulus and sring.modulus % tring.modulus:
             raise AlgebraError(
-                f"no reduction heisenberg/{sg.modulus} -> heisenberg/{tg.modulus}")
+                f"no reduction heisenberg/{sring.modulus} -> heisenberg/{tring.modulus}")
         return
-    if isinstance(sg, CyclicProductGroup) and isinstance(tg, CyclicProductGroup):
-        if len(sg.moduli) != len(tg.moduli):
+    if isinstance(sring, CyclicProductRing) and isinstance(tring, CyclicProductRing):
+        if len(sring.moduli) != len(tring.moduli):
             raise AlgebraError("factor counts differ")
-        for ms, mt in zip(sg.moduli, tg.moduli):
+        for ms, mt in zip(sring.moduli, tring.moduli):
             if mt == 0 or (ms and ms % mt):
                 raise AlgebraError(f"no reduction of factor Z/{ms or 'Z'} -> Z/{mt}")
         return
@@ -110,7 +103,7 @@ class QuotientTower:
         for low, high in zip(maps, maps[1:]):
             # the connecting map exists iff the lower level is a reduction
             # of the higher one
-            _check_reduction_compatible(high.target.ring.group, low.target.ring.group)
+            _check_reduction_compatible(high.target.ring, low.target.ring)
         self.source = src
         self.maps = list(maps)
 
@@ -118,7 +111,7 @@ class QuotientTower:
         """Reduction from level j down to level i (i <= j), on labels."""
         if not 0 <= i <= j < len(self.maps):
             raise IndexError("levels out of range")
-        return self.maps[i].target.ring.group._reduce
+        return self.maps[i].target.ring._reduce
 
     def __len__(self):
         return len(self.maps)
@@ -138,12 +131,11 @@ def group_quotient_tower(source, moduli) -> QuotientTower:
         raise AlgebraError("moduli must be >= 2")
     maps = []
     for m in moduli:
-        g = ring.group
-        if isinstance(g, HeisenbergGroup):
+        if isinstance(ring, HeisenbergRing):
             tag = f"group:heisenberg/{m}"
         else:
             tag = "group:" + "x".join(
-                f"Z/{m}" if ms == 0 else f"Z/{ms}" for ms in g.moduli)
+                f"Z/{m}" if ms == 0 else f"Z/{ms}" for ms in ring.moduli)
         maps.append(QuotientMap(algebra, algebra_for(tag)))
     return QuotientTower(maps)
 

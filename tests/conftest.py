@@ -56,18 +56,24 @@ def label_checks(monkeypatch):
 
 
 @pytest.fixture
-def group_normalize_calls(monkeypatch):
-    """The (ring, label) pairs passed to GroupFusionRing.normalize from here on."""
-    from folnerlab.fusion import GroupFusionRing
+def normalize_calls(monkeypatch):
+    """The (ring, label) pairs passed to any ring's normalize from here on:
+    every FusionRing class that defines normalize is wrapped."""
+    from folnerlab.fusion import FusionRing
 
     calls = []
-    normalize = GroupFusionRing.normalize
 
-    def spying(ring, u):
-        calls.append((ring, u))
-        return normalize(ring, u)
+    def spy(normalize):
+        def spying(ring, u):
+            calls.append((ring, u))
+            return normalize(ring, u)
+        return spying
 
-    monkeypatch.setattr(GroupFusionRing, "normalize", spying)
+    classes = [FusionRing]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+        if "normalize" in vars(cls):
+            monkeypatch.setattr(cls, "normalize", spy(vars(cls)["normalize"]))
     return calls
 
 

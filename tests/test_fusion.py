@@ -175,6 +175,14 @@ def test_finite_kernel_dim_checks_only_the_support(label_checks):
     assert len(label_checks) <= len(T.support())
 
 
+def test_check_axioms_checks_each_label_once(label_checks):
+    labels = list(ball(HEIS, [(1, 0, 0), (0, 1, 0)], 1))
+    label_checks.clear()
+    report = check_axioms(HEIS, labels)
+    assert report["ok"] and report["pairs_checked"] == 25
+    assert len(label_checks) == len(labels) == 5
+
+
 def test_label_set_of_another_ring_is_checked_again():
     S = [(1, 0), (0, 1)]
     B = ball(Z2, S, 3)

@@ -76,6 +76,19 @@ def test_relative_dimension_s3_example():
     assert val == Fraction(1, 6)
 
 
+@pytest.mark.parametrize("algebra, F, terms, row, expected", [
+    (ASU2, [0, 1], {0: 1, (1, 1, 1): 1}, [1, 2 ** -0.5, 0, 0, 0], Fraction(1, 5)),
+    (AS3, ["triv", "sgn", "std"], {"triv": 1, ("std", 1, 2): 1},
+     [1, 0, 0, 2 ** -0.5, 0, 0], Fraction(1, 6)),
+], ids=["su2", "S3"])
+def test_element_coordinates_are_orthonormal(algebra, F, terms, row, expected):
+    # the coefficient c of u^a_ij is the coordinate c / sqrt(n_a) of the
+    # orthonormal basis vector sqrt(n_a) u^a_ij: x and its own coordinate
+    # row span one line
+    x = algebra.element(terms)
+    assert relative_dimension(algebra, [x, row], F) == expected
+
+
 def test_relative_dimension_requires_window_support():
     with pytest.raises(ValueError):
         relative_dimension(AZ, [AZ.group_element({5: 1})], range(-2, 3))
@@ -168,7 +181,7 @@ def test_estimate_leaves_the_outer_boundary_unread(monkeypatch, side):
     # u v (v u on the left) lies in F}; S lies in the 3x3 cell, so every
     # such u lies in the box of radius N + 1
     (dec,) = records
-    mul = ring.group._mul
+    mul = ring._mul
     F = frozenset(F)
     direct = {u for u in box2(N + 1) if u not in F
               and any((mul(u, v) if side == "right" else mul(v, u)) in F for v in S)}

@@ -202,16 +202,21 @@ def test_tower_heisenberg_level():
 @pytest.mark.parametrize("source, g, moduli", [(AZXZ2, (1, 0), [3, 9]),
                                                 (AHEIS, (1, 0, 0), [2, 4])],
                          ids=["ZxZ/2", "heisenberg"])
-def test_tower_levels_validate_no_label(source, g, moduli, group_normalize_calls):
+def test_tower_levels_validate_no_label(source, g, moduli, normalize_calls):
     # the source window and support were checked where they entered; their
     # images in every level are reduced, not validated again
     T = MatrixOverPol.from_element(source.one() - source.group_element(g))
     tower = group_quotient_tower(source, moduli)
     targets = {qmap.target.ring for qmap in tower}
-    group_normalize_calls.clear()
+    normalize_calls.clear()
     rep = tower_kernel_dims(T, tower, ball(source.ring, T.support(), 1))
     assert [lv.omega_injective for lv in rep.levels] == [False, True]
-    assert [u for ring, u in group_normalize_calls if ring in targets] == []
+    assert [u for ring, u in normalize_calls if ring in targets] == []
+    # positive control: the spy sees an explicit check on a target ring
+    target = tower.maps[-1].target.ring
+    normalize_calls.clear()
+    target.check_label(target.unit)
+    assert normalize_calls == [(target, target.unit)]
 
 
 def test_tower_rejects_zero_and_foreign_matrix():
