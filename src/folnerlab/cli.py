@@ -16,9 +16,9 @@ import sys
 from fractions import Fraction
 
 from .folner import ExhaustionReport, FolnerCertificate, folner_search, isoperimetric_profile
-from .fusion import ball, check_axioms, ring_from_tag
+from .fusion import ball, ball_boundary, check_axioms, ring_from_tag
 from .polalg import AlgebraError, MatrixOverPol
-from .reldim import DimensionEstimate, _ball_estimate
+from .reldim import DimensionEstimate, _estimate
 from .serialize import (SchemaError, canonical_dumps, label_from_json,
                         label_to_json, load_element)
 from .solvers import NotFoundReport, OrePair, ZeroDivisorCertificate, ore_pair, zero_divisor_search
@@ -124,8 +124,10 @@ def _run_profile(args) -> int:
 
 def _run_kernel_dim(args) -> int:
     T = _load_matrix(args.matrix, args.ring)
-    return _emit_report(_ball_estimate(T, args.window, args.side), args.out,
-                        ring=T.algebra.tag)
+    if T.is_zero():  # it has no support to decompose the ball against
+        raise CliError("restricted multiplication needs a nonzero matrix")
+    dec = ball_boundary(T.algebra.ring, T.support(), args.window, side=args.side)
+    return _emit_report(_estimate(T, dec), args.out, ring=T.algebra.tag)
 
 
 def _run_zero_divisor(args) -> int:

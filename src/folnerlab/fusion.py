@@ -15,6 +15,11 @@ boundary is computed without touching the infinite complement via Frobenius
 reciprocity: bd_S(F^c) = (U_{w in F, v in S} supp(w x conj(v))) \\ F, and
 only on first read: kernel estimates need the interior and boundary alone,
 Folner searches and profiles read the outer boundary as well.
+
+One record, ``BoundaryData``, holds a decomposition together with the S and
+the side (of multiplication: products u x v or v x u) it was built for;
+the restricted operator and the kernel bracket of a window are built from
+the record alone.
 A ball window B_r is decomposed from its outer shell B_r \\ B_{r-1} alone
 (``ball_boundary``); any other window is decomposed in full.
 
@@ -55,6 +60,7 @@ ever grows.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import add, neg
 from typing import Iterable
 
@@ -397,62 +403,39 @@ def _group_ring(name: str) -> GroupFusionRing:
 # weighted isoperimetry
 
 class BoundaryData:
-    """A window F = interior u boundary and its boundary decomposition, as LabelSets
-    of ``ring``. The interior, boundary and coboundary are each summed once,
-    unsorted; |F| and |bd^sym F| add up disjoint parts.
+    """A window F = interior u boundary, decomposed against ``S`` for
+    multiplication on ``side``, as LabelSets of S's ring; S and side are
+    checked where the record is built (``_decompose``). The interior and
+    boundary are each summed once; |F| and |bd^sym F| add up disjoint parts.
 
-    The coboundary, the symmetric boundary and its weight are computed
-    together on first read: kernel estimates never read them, Folner
-    searches and profiles do."""
+    The coboundary is the Frobenius reach ``reach()`` minus F, so it never
+    meets the window; it, the symmetric boundary and its weight are computed
+    on first read: kernel estimates never read them, Folner searches and
+    profiles do."""
 
-    __slots__ = ("window", "interior", "boundary", "window_weight", "boundary_weight",
-                 "interior_weight", "_compute_coboundary", "_outer")
-
-    def __init__(self, ring, interior, boundary, coboundary):
-        interior, boundary = LabelSet(ring, interior), LabelSet(ring, boundary)
-        if not interior.isdisjoint(boundary):
-            raise ValueError("interior, boundary and coboundary must be disjoint")
-        self._fill(LabelSet(ring, interior | boundary), interior, boundary, lambda: coboundary)
-        self._outer_parts()  # a given coboundary is checked at once
-
-    @classmethod
-    def _of_window(cls, F: LabelSet, interior, boundary, compute_coboundary) -> "BoundaryData":
-        """The record of the checked window F = interior u boundary (disjoint);
-        ``compute_coboundary()`` is called on the first read of the coboundary."""
-        self = object.__new__(cls)
-        self._fill(F, LabelSet(F.ring, interior), LabelSet(F.ring, boundary), compute_coboundary)
-        return self
-
-    def _fill(self, window, interior, boundary, compute_coboundary):
-        ring = window.ring
-        self.window, self.interior, self.boundary = window, interior, boundary
-        self.boundary_weight = weighted_size(ring, boundary)
-        self.interior_weight = weighted_size(ring, interior)
+    def __init__(self, S: LabelSet, side: str, interior, boundary, reach):
+        ring = S.ring
+        self.S, self.side = S, side
+        self.interior, self.boundary = LabelSet(ring, interior), LabelSet(ring, boundary)
+        if not self.interior.isdisjoint(self.boundary):
+            raise ValueError("interior and boundary must be disjoint")
+        self.window = LabelSet(ring, self.interior | self.boundary)
+        self.boundary_weight = weighted_size(ring, self.boundary)
+        self.interior_weight = weighted_size(ring, self.interior)
         self.window_weight = self.interior_weight + self.boundary_weight
-        self._compute_coboundary, self._outer = compute_coboundary, None
+        self._reach = reach
 
-    def _outer_parts(self) -> tuple:
-        if self._outer is None:
-            ring = self.window.ring
-            coboundary = LabelSet(ring, self._compute_coboundary())
-            if not coboundary.isdisjoint(self.window):
-                raise ValueError("interior, boundary and coboundary must be disjoint")
-            self._outer = (coboundary, LabelSet(ring, self.boundary | coboundary),
-                           self.boundary_weight + weighted_size(ring, coboundary))
-            self._compute_coboundary = None
-        return self._outer
-
-    @property
+    @cached_property
     def coboundary(self) -> LabelSet:
-        return self._outer_parts()[0]
+        return LabelSet(self.S.ring, self._reach() - self.window)
 
-    @property
+    @cached_property
     def symmetric_boundary(self) -> LabelSet:
-        return self._outer_parts()[1]
+        return LabelSet(self.S.ring, self.boundary | self.coboundary)
 
-    @property
+    @cached_property
     def symmetric_boundary_weight(self) -> int:
-        return self._outer_parts()[2]
+        return self.boundary_weight + weighted_size(self.S.ring, self.coboundary)
 
 
 def weighted_size(ring: FusionRing, F: Iterable) -> int:
@@ -518,18 +501,14 @@ def _decompose(ring: FusionRing, F: LabelSet, edge: Iterable, S: Iterable,
 
     boundary = {u for u in edge if any(w not in F for v in S for w in supp(u, v))}
 
-    def coboundary():
+    def reach():
         # Frobenius: u in bd_S(F^c) iff u not in F and some supp(u x v) meets
         # F, iff u lies in supp(w x conj(v)) for some w in F, v in S (right
         # side); mirrored to supp(conj(v) x w) on the left.
         conj_S = [ring._conj(v) for v in S]
-        reach = set()
-        for w in edge:
-            for vb in conj_S:
-                reach.update(supp(w, vb))
-        return reach - F
+        return {u for w in edge for vb in conj_S for u in supp(w, vb)}
 
-    return BoundaryData._of_window(F, F - boundary, boundary, coboundary)
+    return BoundaryData(S, side, F - boundary, boundary, reach)
 
 
 def ball(ring: FusionRing, S: Iterable, radius: int) -> LabelSet:

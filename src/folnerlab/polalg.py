@@ -86,9 +86,10 @@ class PolAlgebra:
 
     def _parse_key(self, key):
         """A key is (label, i, j) when key[0] is a valid label and i, j are
-        ints; otherwise the whole key is a label at indices (1, 1)."""
+        ints (type-exact: ``True`` is no index); otherwise the whole key is a
+        label at indices (1, 1)."""
         if isinstance(key, tuple) and len(key) == 3 \
-                and isinstance(key[1], int) and isinstance(key[2], int):
+                and type(key[1]) is int and type(key[2]) is int:
             try:
                 return self.ring.check_label(key[0]), key[1], key[2]
             except InvalidLabelError:
@@ -476,27 +477,25 @@ def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",
                            S=None) -> RestrictedOperator:
     """Matrix of multiplication by T from W_{int_S(F)}^n to W_F^n.
 
-    S defaults to the support of T; a larger S may be passed to shrink the
-    domain further (the Ore solver restricts both factors over a joint S).
-    Any image component outside F is a genuine bug, not bad input: the
-    fusion-support inclusion makes it impossible, so it raises RuntimeError.
+    S defaults to the support of T; a larger S containing it may be passed
+    to shrink the domain further. Any image component outside F is a genuine
+    bug, not bad input: the fusion-support inclusion makes it impossible, so
+    it raises RuntimeError.
     """
-    ring = T.algebra.ring
     _check_operator(T, side)
-    supp = T.support()
-    S = supp if S is None else ring.label_set(S)
-    if not supp <= S:
-        raise AlgebraError("S must contain the support of T")
-    return _restricted_operator(T, boundary_decomposition(ring, F, S, side=side), side)
+    S = T.support() if S is None else S
+    return _restricted_operator(T, boundary_decomposition(T.algebra.ring, F, S, side=side))
 
 
-def _restricted_operator(T: MatrixOverPol, dec: BoundaryData, side: str) -> RestrictedOperator:
-    """restricted_mult_matrix on a boundary decomposition ``dec`` over S on
-    ``side`` that the caller holds; its window is sorted here, once, and the
+def _restricted_operator(T: MatrixOverPol, dec: BoundaryData) -> RestrictedOperator:
+    """restricted_mult_matrix on the record ``dec``, over its S and on its
+    side; S must contain supp(T). The window is sorted here, once, and the
     interior is read off the sorted window."""
+    if not T.support() <= dec.S:
+        raise AlgebraError("S must contain the support of T")
     window = T.algebra.ring.sorted_labels(dec.window)
     interior = dec.interior
-    return _operator_on(T, window, tuple(u for u in window if u in interior), side)
+    return _operator_on(T, window, tuple(u for u in window if u in interior), dec.side)
 
 
 def _operator_on(T: MatrixOverPol, window: tuple, interior: tuple, side: str) -> RestrictedOperator:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _blocks, exactla
-from .fusion import BoundaryData, ball_boundary, boundary_decomposition, weighted_size
+from .fusion import BoundaryData, boundary_decomposition, weighted_size
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, _check_operator,
                      _component_basis, _restricted_operator, full_mult_matrix)
 from .scalars import EXACT, FLOAT
@@ -119,21 +119,14 @@ def kernel_dim_estimate(T: MatrixOverPol, F, side: str = "right") -> DimensionEs
     _check_operator(T, side)
     ring = T.algebra.ring
     F = _require_conj_closed(ring, F)
-    return _estimate(T, boundary_decomposition(ring, F, T.support(), side=side), side)
+    return _estimate(T, boundary_decomposition(ring, F, T.support(), side=side))
 
 
-def _ball_estimate(T: MatrixOverPol, radius: int, side: str) -> DimensionEstimate:
-    """kernel_dim_estimate(T, ball(ring, supp T, radius), side), with the ball
-    decomposed from its outer shell; a ball is conjugation-closed."""
-    _check_operator(T, side)
-    return _estimate(T, ball_boundary(T.algebra.ring, T.support(), radius, side=side), side)
-
-
-def _estimate(T: MatrixOverPol, dec: BoundaryData, side: str) -> DimensionEstimate:
-    """kernel_dim_estimate on the window of ``dec``, the boundary
-    decomposition of a conjugation-closed F over supp(T) on ``side``; the
-    weights are read off ``dec`` and the sorted window off the operator."""
-    op = _restricted_operator(T, dec, side)
+def _estimate(T: MatrixOverPol, dec: BoundaryData) -> DimensionEstimate:
+    """kernel_dim_estimate on the record ``dec`` of a conjugation-closed
+    window, on its side; the weights are read off ``dec`` and the sorted
+    window off the operator."""
+    op = _restricted_operator(T, dec)
     rank, nullity = exactla.rank_nullity(op.matrix)
     # dimension theorem on W_{int}^n, in weighted counts
     if nullity + rank != T.n * dec.interior_weight:
@@ -144,7 +137,7 @@ def _estimate(T: MatrixOverPol, dec: BoundaryData, side: str) -> DimensionEstima
         lower=lower, upper=lower + T.n * ratio, window=op.window, n=T.n,
         boundary_ratio=ratio, window_weight=dec.window_weight,
         boundary_weight=dec.boundary_weight, interior_weight=dec.interior_weight,
-        nullity=nullity, rank=rank, side=side, degenerate=not dec.interior)
+        nullity=nullity, rank=rank, side=dec.side, degenerate=not dec.interior)
 
 
 def exact_mvn_dim_finite(T: MatrixOverPol, side: str = "right") -> Fraction:

@@ -108,7 +108,7 @@ def element_from_json(obj: dict, algebra: PolAlgebra | None = None) -> AlgebraEl
         label = label_from_json(algebra.ring, term["irrep"])
         row = term.get("row", 1)
         col = term.get("col", 1)
-        if not isinstance(row, int) or not isinstance(col, int):
+        if type(row) is not int or type(col) is not int:
             raise SchemaError(f"term #{k}: row/col must be integers")
         n = algebra.ring._dim(label)
         if not (1 <= row <= n and 1 <= col <= n):

@@ -30,7 +30,7 @@ from . import exactla
 from .folner import ExhaustionReport, _profile_row
 from .fusion import LabelSet, ball, ball_boundary, weighted_size
 from .polalg import AlgebraElement, AlgebraError, MatrixOverPol, _restricted_operator
-from .reldim import DimensionEstimate, _ball_estimate
+from .reldim import DimensionEstimate, _estimate
 from .scalars import EXACT
 from .serialize import Report
 
@@ -86,12 +86,6 @@ class OrePair(Report):
                 "residual_zero": _vanishes(self.residual())}
 
 
-def _mult_side(side: str) -> str:
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return side
-
-
 def _zero_divisor_certificate(a: AlgebraElement, witness: AlgebraElement, side: str,
                               window: tuple, radius: int) -> ZeroDivisorCertificate:
     """The certificate that ``witness`` != 0 annihilates ``a`` on ``side``
@@ -106,7 +100,6 @@ def _zero_divisor_certificate(a: AlgebraElement, witness: AlgebraElement, side: 
 def zero_divisor_search(a: AlgebraElement, side: str = "left",
                         max_radius: int = 8):
     """Search growing ball windows for b != 0 with a b = 0 (or b a = 0)."""
-    _mult_side(side)
     if max_radius < 0:
         raise ValueError("max_radius must be >= 0")
     if a.is_zero():
@@ -116,7 +109,7 @@ def zero_divisor_search(a: AlgebraElement, side: str = "left",
     T = MatrixOverPol.from_element(a)
     dims = []
     for radius in range(max_radius + 1):
-        op = _restricted_operator(T, ball_boundary(algebra.ring, S, radius, side=side), side)
+        op = _restricted_operator(T, ball_boundary(algebra.ring, S, radius, side=side))
         kernel = exactla.nullspace_basis(op.matrix)
         if kernel:
             (b,) = op.elements_from_coords(kernel[0])
@@ -129,11 +122,12 @@ def zero_divisor_search(a: AlgebraElement, side: str = "left",
 def kernel_dim_sequence(a: AlgebraElement, side: str = "left",
                         radii=(0, 1, 2, 3, 4)) -> list[tuple[int, DimensionEstimate]]:
     """Certified kernel-dimension brackets over the ball windows at ``radii``."""
-    _mult_side(side)
     if a.is_zero():
         raise AlgebraError("need a != 0")
     T = MatrixOverPol.from_element(a)
-    return [(radius, _ball_estimate(T, radius, side)) for radius in radii]
+    ring, S = a.algebra.ring, a.support()
+    return [(radius, _estimate(T, ball_boundary(ring, S, radius, side=side)))
+            for radius in radii]
 
 
 def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
@@ -152,24 +146,24 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
         raise AlgebraError("a and s live in different algebras")
     ring = a.algebra.ring
     S = LabelSet(ring, a.support() | s.support())
-    profile = []
+    decs = []
     for radius in range(max_radius + 1):
-        F = ball(ring, S, radius)
         dec = ball_boundary(ring, S, radius, side="left")
-        row = _profile_row(dec, radius)
-        profile.append(row)
-        if 2 * row.boundary_weight < row.window_weight:
+        if 2 * dec.boundary_weight < dec.window_weight:
             break
+        decs.append(dec)
     else:
+        # the outer boundaries are read only here, for the rows of the report
         return ExhaustionReport(
             ring=ring.tag, S=ring.sorted_labels(S), epsilon=Fraction(1, 2),
-            max_radius=max_radius, strategy="ore-ball", profile=tuple(profile))
+            max_radius=max_radius, strategy="ore-ball",
+            profile=tuple(_profile_row(d, r) for r, d in enumerate(decs)))
     # the counting guarantee behind the kernel, against the ball itself
-    if not 2 * dec.interior_weight > weighted_size(ring, F):
+    if not 2 * dec.interior_weight > weighted_size(ring, ball(ring, S, radius)):
         raise RuntimeError("window bookkeeping is broken: 2|int| <= |F|")
 
-    ra = _restricted_operator(MatrixOverPol.from_element(a), dec, "left")
-    rs = _restricted_operator(MatrixOverPol.from_element(s), dec, "left")
+    ra = _restricted_operator(MatrixOverPol.from_element(a), dec)
+    rs = _restricted_operator(MatrixOverPol.from_element(s), dec)
     kernel = exactla.nullspace_basis(_minus_block(ra.matrix, rs.matrix))
     if not kernel:
         raise RuntimeError("column surplus did not produce a kernel; backend broken")

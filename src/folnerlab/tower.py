@@ -227,7 +227,7 @@ def tower_kernel_dims(T: MatrixOverPol, tower: QuotientTower, F,
     S = T.support()
     omega = omega_set(ring, F, S)
     dec = boundary_decomposition(ring, F, S, side=side)
-    estimate = _estimate(T, dec, side)
+    estimate = _estimate(T, dec)
     bound = 2 * T.n * estimate.boundary_ratio
 
     def level(qmap: QuotientMap) -> LevelReport:

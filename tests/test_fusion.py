@@ -325,11 +325,37 @@ def test_left_side_differs_on_heisenberg():
 
 
 def test_record_rejects_overlapping_parts():
-    # |F| and |bd^sym F| are sums over the parts, which needs them disjoint
+    # |F| and |bd^sym F| are sums over the parts, which needs them disjoint;
+    # the coboundary is the reach minus F, so it cannot meet the window
     with pytest.raises(ValueError, match="disjoint"):
-        BoundaryData(Z, [0, 1], [1, 2], [3])
-    with pytest.raises(ValueError, match="disjoint"):
-        BoundaryData(Z, [0, 1], [2], [2, 3])
+        BoundaryData(Z.label_set([1]), "right", [0, 1], [1, 2], lambda: {3})
+    dec = BoundaryData(Z.label_set([1]), "right", [0, 1], [2], lambda: {2, 3})
+    assert dec.coboundary == frozenset({3})
+    assert dec.symmetric_boundary_weight == 2
+
+
+def _bad_side_calls():
+    from folnerlab import (MatrixOverPol, algebra_for, kernel_dim_estimate,
+                           kernel_dim_sequence, restricted_mult_matrix,
+                           zero_divisor_search)
+
+    A = algebra_for("group:Z^2")
+    a = A.one() - A.group_element((1, 0))
+    T = MatrixOverPol.from_element(a)
+    F = ball(Z2, [(1, 0)], 2)
+    return {
+        "boundary_decomposition": lambda side: boundary_decomposition(Z2, F, [(1, 0)], side),
+        "restricted_mult_matrix": lambda side: restricted_mult_matrix(T, F, side),
+        "kernel_dim_estimate": lambda side: kernel_dim_estimate(T, F, side),
+        "kernel_dim_sequence": lambda side: kernel_dim_sequence(a, side),
+        "zero_divisor_search": lambda side: zero_divisor_search(a, side),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_bad_side_calls()))
+def test_bad_side_is_rejected(call):
+    with pytest.raises(ValueError, match="side"):
+        _bad_side_calls()[call]("up")
 
 
 # ---------------------------------------------------------------------------

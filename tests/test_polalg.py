@@ -420,7 +420,30 @@ def test_image_escaping_window_is_internal_error(algebra, F):
     F = ring.label_set(F)
     top = ring.sorted_labels(F)[-1]
     T = MatrixOverPol.from_element(algebra.one() + algebra.basis(top))
-    forged = BoundaryData(ring, interior=F, boundary=(), coboundary=())
     for side in ("right", "left"):
+        forged = BoundaryData(T.support(), side, interior=F, boundary=(), reach=set)
         with pytest.raises(RuntimeError, match="fusion inclusion violated"):
-            _restricted_operator(T, forged, side)
+            _restricted_operator(T, forged)
+
+
+@pytest.mark.parametrize("algebra,F", [(AZ2, ball(AZ2.ring, [(1, 0), (0, 1)], 2)),
+                                       (ASU2, range(4))])
+def test_restricted_operator_needs_S_to_cover_the_support(algebra, F):
+    # the record's S bounds the interior; a record over an S that misses a
+    # label of supp(T) is rejected, on every path to the operator
+    from folnerlab.polalg import _restricted_operator
+
+    ring = algebra.ring
+    unit, top = ring.unit, ring.sorted_labels(ring.label_set(F))[-1]
+    T = MatrixOverPol.from_element(algebra.one() + algebra.basis(top))
+    dec = boundary_decomposition(ring, F, [unit])
+    with pytest.raises(AlgebraError, match="support"):
+        _restricted_operator(T, dec)
+
+
+def test_boolean_matrix_index_is_rejected():
+    # True is not the index 1, so it never reaches a stored key
+    with pytest.raises(InvalidLabelError):
+        ASU2.element({(1, True, 2): 1})
+    with pytest.raises(InvalidLabelError):
+        AZ2.element({((1, 0), 1, False): 1})

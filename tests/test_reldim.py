@@ -158,9 +158,9 @@ def test_estimate_leaves_the_outer_boundary_unread(monkeypatch, side):
     records, calls = [], []
     estimate, supp = folnerlab.reldim._estimate, ring._support
 
-    def recording(T, dec, side):
+    def recording(T, dec):
         records.append(dec)
-        return estimate(T, dec, side)
+        return estimate(T, dec)
 
     def counting(u, v):
         calls.append(None)
@@ -171,7 +171,7 @@ def test_estimate_leaves_the_outer_boundary_unread(monkeypatch, side):
 
     monkeypatch.setattr(folnerlab.reldim, "_estimate", recording)
     monkeypatch.setattr(ring, "_support", counting)
-    monkeypatch.setattr(BoundaryData, "_outer_parts", forbidden)
+    monkeypatch.setattr(BoundaryData, "coboundary", property(forbidden))
     F = box2(N)
     kernel_dim_estimate(MatrixOverPol.from_element(a), F, side=side)
     monkeypatch.undo()

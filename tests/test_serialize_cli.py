@@ -8,6 +8,7 @@ import pytest
 from folnerlab import (MatrixOverPol, SchemaError, algebra_for, dump_element,
                        element_to_json, load_element, parse_element)
 from folnerlab.cli import main
+from folnerlab.serialize import element_from_json
 
 from conftest import SCHEMA_DIR, schema_registry, schema_validator
 
@@ -263,6 +264,19 @@ def test_cli_rejects_boolean_labels(capsys):
     with pytest.raises(SchemaError):
         parse_element({"algebra": "group:Z", "mode": "exact",
                        "terms": [{"irrep": True, "row": 1, "col": 1, "re": "1", "im": "0"}]})
+
+
+def test_boolean_matrix_indices_are_rejected(capsys, tmp_path):
+    # JSON true is not the index 1: it never reaches an element or a report
+    term = {"irrep": 1, "row": True, "col": 2, "re": 1.0, "im": 0.0}
+    obj = {"algebra": "su2", "mode": "float", "terms": [term]}
+    with pytest.raises(SchemaError):
+        element_from_json(obj)
+    with pytest.raises(SchemaError):
+        element_from_json({**obj, "terms": [{**term, "row": 1, "col": False}]})
+    path = write(tmp_path, "bool.json", json.dumps(obj))
+    code, out = run_cli(capsys, ["kernel-dim", "--matrix", path, "--window", "2"])
+    assert (code, out) == (1, None)
 
 
 def test_cli_deterministic_bytes(capsys, tmp_path):

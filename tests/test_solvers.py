@@ -203,12 +203,29 @@ def test_ore_bookkeeping_compares_against_the_ball(monkeypatch):
         dec = real(ring, S, radius, side=side)
         if not dec.interior:
             return dec
-        return BoundaryData(ring, dec.interior, (), dec.coboundary)
+        return BoundaryData(dec.S, side, dec.interior, (), lambda: dec.coboundary)
 
     monkeypatch.setattr(solvers, "ball_boundary", forged)
     one = AZ2.one()
     with pytest.raises(RuntimeError, match="bookkeeping"):
         ore_pair(one - AZ2.group_element((1, 0)), one - AZ2.group_element((0, 1)))
+
+
+def test_ore_success_leaves_the_outer_boundary_unread(monkeypatch):
+    # the radius loop decides on the one-sided boundary; the outer boundary
+    # is read only for the rows of an exhaustion report
+    from folnerlab.fusion import BoundaryData
+
+    def forbidden(self):
+        raise AssertionError("coboundary computed")
+
+    monkeypatch.setattr(BoundaryData, "coboundary", property(forbidden))
+    one = AHEIS.one()
+    x = AHEIS.group_element((1, 0, 0))
+    y = AHEIS.group_element((0, 1, 0))
+    pair = ore_pair(one - x, one - y, max_radius=10)
+    assert isinstance(pair, OrePair)
+    assert pair.residual().is_zero()
 
 
 def test_ore_on_non_domain_still_verifies():
