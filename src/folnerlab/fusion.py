@@ -13,12 +13,13 @@ finite S are
 with the symmetric boundary adding the outer boundary bd_S(F^c). The outer
 boundary is computed without touching the infinite complement via Frobenius
 reciprocity: bd_S(F^c) = (U_{w in F, v in S} supp(w x conj(v))) \\ F, and
-only on first read: kernel estimates need the interior and boundary alone,
-Folner searches and profiles read the outer boundary as well.
+only on first read: kernel estimates need the boundary and the weights
+alone, Folner searches and profiles read the outer boundary as well.
 
-One record, ``BoundaryData``, holds a decomposition together with the S and
-the side (of multiplication: products u x v or v x u) it was built for;
-the restricted operator and the kernel bracket of a window are built from
+One record, ``BoundaryData``, holds a window F and its boundary together
+with the S and the side (of multiplication: products u x v or v x u) they
+were built for; the interior is derived from them, and only on first read.
+The restricted operator and the kernel bracket of a window are built from
 the record alone.
 A ball window B_r is decomposed from its outer shell B_r \\ B_{r-1} alone
 (``ball_boundary``); any other window is decomposed in full.
@@ -403,27 +404,31 @@ def _group_ring(name: str) -> GroupFusionRing:
 # weighted isoperimetry
 
 class BoundaryData:
-    """A window F = interior u boundary, decomposed against ``S`` for
+    """A window F with its boundary, decomposed against ``S`` for
     multiplication on ``side``, as LabelSets of S's ring; S and side are
-    checked where the record is built (``_decompose``). The interior and
-    boundary are each summed once; |F| and |bd^sym F| add up disjoint parts.
+    checked where the record is built (``_decompose``). F is kept as given,
+    and the boundary must lie in it. |F| and |bd F| are weighed once; the
+    interior is F minus the boundary, and its weight their difference.
 
-    The coboundary is the Frobenius reach ``reach()`` minus F, so it never
-    meets the window; it, the symmetric boundary and its weight are computed
-    on first read: kernel estimates never read them, Folner searches and
-    profiles do."""
+    The interior, the coboundary (the Frobenius reach ``reach()`` minus F,
+    so it never meets the window), the symmetric boundary and its weight are
+    computed on first read: the library reads no interior, kernel estimates
+    read no coboundary, Folner searches and profiles do."""
 
-    def __init__(self, S: LabelSet, side: str, interior, boundary, reach):
+    def __init__(self, S: LabelSet, side: str, window, boundary, reach):
         ring = S.ring
         self.S, self.side = S, side
-        self.interior, self.boundary = LabelSet(ring, interior), LabelSet(ring, boundary)
-        if not self.interior.isdisjoint(self.boundary):
-            raise ValueError("interior and boundary must be disjoint")
-        self.window = LabelSet(ring, self.interior | self.boundary)
+        self.window, self.boundary = ring.label_set(window), LabelSet(ring, boundary)
+        if not self.boundary <= self.window:
+            raise ValueError("the boundary must lie in the window")
+        self.window_weight = weighted_size(ring, self.window)
         self.boundary_weight = weighted_size(ring, self.boundary)
-        self.interior_weight = weighted_size(ring, self.interior)
-        self.window_weight = self.interior_weight + self.boundary_weight
+        self.interior_weight = self.window_weight - self.boundary_weight
         self._reach = reach
+
+    @cached_property
+    def interior(self) -> LabelSet:
+        return LabelSet(self.S.ring, self.window - self.boundary)
 
     @cached_property
     def coboundary(self) -> LabelSet:
@@ -440,8 +445,10 @@ class BoundaryData:
 
 def weighted_size(ring: FusionRing, F: Iterable) -> int:
     """|F| = sum of n_u^2 over F; exact integer."""
-    dim = ring._dim
-    return sum(dim(u) ** 2 for u in ring.label_set(F))
+    F = ring.label_set(F)
+    if isinstance(ring, GroupFusionRing):
+        return len(F)  # every group label has dimension 1
+    return sum(ring._dim(u) ** 2 for u in F)
 
 
 def conjugate_set(ring: FusionRing, F: Iterable) -> LabelSet:
@@ -508,7 +515,7 @@ def _decompose(ring: FusionRing, F: LabelSet, edge: Iterable, S: Iterable,
         conj_S = [ring._conj(v) for v in S]
         return {u for w in edge for vb in conj_S for u in supp(w, vb)}
 
-    return BoundaryData(S, side, F - boundary, boundary, reach)
+    return BoundaryData(S, side, F, boundary, reach)
 
 
 def ball(ring: FusionRing, S: Iterable, radius: int) -> LabelSet:

@@ -206,8 +206,14 @@ class PolAlgebra:
 def _trim_float(coeffs: dict) -> dict:
     if not coeffs:
         return coeffs
-    cutoff = FLOAT_TRIM * max(1.0, max(abs(v) for v in coeffs.values()))
-    return {k: v for k, v in coeffs.items() if abs(v) > cutoff}
+    try:
+        sizes = [abs(v) for v in coeffs.values()]
+    except OverflowError:  # a finite coefficient whose modulus overflows
+        sizes = [math.inf]
+    if not all(map(math.isfinite, sizes)):
+        raise AlgebraError("float product overflowed: a coefficient or its modulus is not finite")
+    cutoff = FLOAT_TRIM * max(1.0, max(sizes))
+    return {k: v for (k, v), size in zip(coeffs.items(), sizes) if size > cutoff}
 
 
 _ALGEBRAS: dict[str, PolAlgebra] = {}
@@ -490,12 +496,12 @@ def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",
 def _restricted_operator(T: MatrixOverPol, dec: BoundaryData) -> RestrictedOperator:
     """restricted_mult_matrix on the record ``dec``, over its S and on its
     side; S must contain supp(T). The window is sorted here, once, and the
-    interior is read off the sorted window."""
+    domain is the sorted window without the record's boundary."""
     if not T.support() <= dec.S:
         raise AlgebraError("S must contain the support of T")
     window = T.algebra.ring.sorted_labels(dec.window)
-    interior = dec.interior
-    return _operator_on(T, window, tuple(u for u in window if u in interior), dec.side)
+    boundary = dec.boundary
+    return _operator_on(T, window, tuple(u for u in window if u not in boundary), dec.side)
 
 
 def _operator_on(T: MatrixOverPol, window: tuple, interior: tuple, side: str) -> RestrictedOperator:

@@ -137,7 +137,7 @@ def _estimate(T: MatrixOverPol, dec: BoundaryData) -> DimensionEstimate:
         lower=lower, upper=lower + T.n * ratio, window=op.window, n=T.n,
         boundary_ratio=ratio, window_weight=dec.window_weight,
         boundary_weight=dec.boundary_weight, interior_weight=dec.interior_weight,
-        nullity=nullity, rank=rank, side=dec.side, degenerate=not dec.interior)
+        nullity=nullity, rank=rank, side=dec.side, degenerate=dec.interior_weight == 0)
 
 
 def exact_mvn_dim_finite(T: MatrixOverPol, side: str = "right") -> Fraction:

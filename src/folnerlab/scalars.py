@@ -8,6 +8,7 @@ coefficient, and mixing modes raises.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 EXACT = "exact"
@@ -108,8 +109,8 @@ def as_scalar(value, mode: str):
     """Coerce a user-supplied coefficient into the given mode's scalar type.
 
     Exact mode accepts ints, Fractions, QQi and (re, im) pairs; float mode
-    accepts any number. Floats are rejected in exact mode: exactness of the
-    group-algebra providers is the point of that mode.
+    accepts any finite number. Floats are rejected in exact mode: exactness of
+    the group-algebra providers is the point of that mode.
     """
     if mode == EXACT:
         if isinstance(value, QQi):
@@ -124,7 +125,10 @@ def as_scalar(value, mode: str):
             f"exact mode needs rational data, got {type(value).__name__}"
         )
     if mode == FLOAT:
-        return complex(value)
+        value = complex(value)
+        if not cmath.isfinite(value):
+            raise ValueError(f"float coefficients must be finite, got {value!r}")
+        return value
     raise ValueError(f"unknown scalar mode {mode!r}")
 
 

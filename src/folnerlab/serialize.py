@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .fusion import FusionRing, ring_from_tag
 from .polalg import AlgebraElement, MatrixOverPol, PolAlgebra, algebra_for
-from .scalars import EXACT, QQi
+from .scalars import EXACT, QQi, as_scalar
 
 
 class SchemaError(ValueError):
@@ -69,9 +69,12 @@ def _scalar_from_json(term: dict, mode: str):
             return QQi(Fraction(re), Fraction(im))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad fraction string: {exc}") from None
-    if isinstance(re, str) or isinstance(im, str):
-        raise SchemaError("float coefficients must be JSON numbers")
-    return complex(float(re), float(im))
+    if type(re) not in (int, float) or type(im) not in (int, float):
+        raise SchemaError(f"float coefficients must be JSON numbers, got re={re!r} im={im!r}")
+    try:
+        return as_scalar(complex(re, im), mode)
+    except (OverflowError, ValueError) as exc:
+        raise SchemaError(str(exc)) from None
 
 
 # -- elements -----------------------------------------------------------------
@@ -169,10 +172,13 @@ def matrix_from_json(obj: dict, algebra: PolAlgebra | None = None) -> MatrixOver
         if "algebra" not in obj:
             raise SchemaError("matrix object missing 'algebra' tag")
         algebra = algebra_for(str(obj["algebra"]))
-    n = obj.get("n", len(obj["entries"]))
     entries = obj["entries"]
-    if not isinstance(entries, list) or len(entries) != n \
-            or any(not isinstance(row, list) or len(row) != n for row in entries):
+    if not isinstance(entries, list):
+        raise SchemaError("'entries' must be a list of rows")
+    n = obj.get("n", len(entries))
+    if type(n) is not int:
+        raise SchemaError(f"'n' must be an integer, got {n!r}")
+    if len(entries) != n or any(not isinstance(row, list) or len(row) != n for row in entries):
         raise SchemaError(f"'entries' must be an {n} x {n} grid")
     rows = [[element_from_json(e, algebra) for e in row] for row in entries]
     return MatrixOverPol(algebra, rows)

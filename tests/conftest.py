@@ -122,3 +122,33 @@ def fraction_free_rank(M):
     (rref_den), independent of the Gauss-Jordan RREF and the certificates."""
     _, _, pivots = domain_matrix(M).rref_den()
     return len(pivots)
+
+
+def laurent_rank(T) -> int:
+    """rank_K(T) of a square matrix T over Q(i)[Z^d], where K is the field
+    Q(i)(x_1, ..., x_d) of Laurent fractions: the Murray-von Neumann kernel
+    dimension of T is T.n minus this rank. The whole matrix is first
+    multiplied by the monomial that clears every negative exponent (a unit
+    of K, so the rank holds); sympy then ranks it over QQ_I.frac_field."""
+    import sympy
+    from sympy import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = T.algebra.ring
+    assert ring.tag.startswith("group:Z") and not any(ring.moduli), ring.tag
+    d = len(ring.moduli)
+    xs = sympy.symbols(f"x1:{d + 1}")
+    K = QQ_I.frac_field(*xs)
+    grid = [[[((g,) if d == 1 else g, c) for (g, _, _), c in entry.terms()]
+             for entry in row] for row in T.entries]
+    low = [min((g[k] for row in grid for entry in row for g, _ in entry), default=0)
+           for k in range(d)]
+
+    def polynomial(entry):
+        return sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                    + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+                   * sympy.prod([x ** (e - m) for x, e, m in zip(xs, g, low)])
+                   for g, c in entry)
+
+    rows = [[K.from_sympy(sympy.expand(polynomial(entry))) for entry in row] for row in grid]
+    return DomainMatrix(rows, (T.n, T.n), K).rank()

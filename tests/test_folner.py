@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from folnerlab import (ExhaustionReport, FolnerCertificate, folner_search,
+from folnerlab import (ExhaustionReport, FolnerCertificate, ball, folner_search,
                        isoperimetric_profile, ring_from_tag,
                        verify_certificate)
 
@@ -14,6 +14,7 @@ SU2 = ring_from_tag("su2")
 Z = ring_from_tag("group:Z")
 Z2 = ring_from_tag("group:Z^2")
 S3 = ring_from_tag("finite:S3")
+HEIS = ring_from_tag("group:heisenberg")
 
 
 def su2_first_radius(eps: Fraction) -> int:
@@ -60,6 +61,27 @@ def test_exhaustion_report_is_neutral():
     assert isinstance(rep, ExhaustionReport)
     assert len(rep.profile) == 4
     assert all(row.ratio > Fraction(1, 10) for row in rep.profile)
+
+
+def test_ball_loops_weigh_no_label_and_read_no_interior(monkeypatch):
+    # every group label weighs 1, so a radius loop counts labels and asks no
+    # dimension; the record's interior is derived on read, and nothing reads
+    # it. The search exhausts: a certificate is re-weighed label by label in
+    # verify_certificate, on purpose
+    from folnerlab.fusion import BoundaryData, GroupFusionRing
+
+    def forbidden(*args):
+        raise AssertionError("dimension or interior read")
+
+    monkeypatch.setattr(GroupFusionRing, "_dim", forbidden)
+    monkeypatch.setattr(BoundaryData, "interior", property(forbidden))
+    z2_gens, heis_gens = [(1, 0), (0, 1)], [(1, 0, 0), (0, 1, 0)]
+    rows = isoperimetric_profile(Z2, z2_gens, 20)
+    assert [row.window_weight for row in rows] == [2 * r * r + 2 * r + 1 for r in range(21)]
+    rows = isoperimetric_profile(HEIS, heis_gens, 6)
+    assert [row.window_weight for row in rows] == [len(ball(HEIS, heis_gens, r)) for r in range(7)]
+    rep = folner_search(Z2, z2_gens, Fraction(1, 100), 10)
+    assert isinstance(rep, ExhaustionReport) and len(rep.profile) == 11
 
 
 def test_user_supplied_windows_strategy():

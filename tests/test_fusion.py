@@ -324,12 +324,13 @@ def test_left_side_differs_on_heisenberg():
         assert all(set(HEIS.product(v, u)) <= F for v in S)
 
 
-def test_record_rejects_overlapping_parts():
-    # |F| and |bd^sym F| are sums over the parts, which needs them disjoint;
-    # the coboundary is the reach minus F, so it cannot meet the window
-    with pytest.raises(ValueError, match="disjoint"):
+def test_record_rejects_boundary_outside_window():
+    # |int F| = |F| - |bd F| needs the boundary inside F; the coboundary is
+    # the reach minus F, so it cannot meet the window
+    with pytest.raises(ValueError, match="boundary must lie in the window"):
         BoundaryData(Z.label_set([1]), "right", [0, 1], [1, 2], lambda: {3})
-    dec = BoundaryData(Z.label_set([1]), "right", [0, 1], [2], lambda: {2, 3})
+    dec = BoundaryData(Z.label_set([1]), "right", [0, 1, 2], [2], lambda: {2, 3})
+    assert dec.interior == frozenset({0, 1}) and dec.interior_weight == 2
     assert dec.coboundary == frozenset({3})
     assert dec.symmetric_boundary_weight == 2
 

@@ -140,6 +140,42 @@ def test_mixed_algebra_rejected():
         a * b
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf)],
+                         ids=["inf", "-inf", "nan", "inf-imag"])
+def test_non_finite_float_coefficient_is_rejected(bad):
+    # an inf or nan coefficient would be trimmed away before the SVD could
+    # see it, and a false bracket would come back: it is refused on entry
+    from folnerlab.scalars import FLOAT, as_scalar
+
+    with pytest.raises(ValueError, match="finite"):
+        as_scalar(bad, FLOAT)
+    with pytest.raises(ValueError, match="finite"):
+        ASU2.element({0: bad})
+    with pytest.raises(ValueError, match="finite"):
+        AS3.element({"triv": 1.0}).scale(bad)
+
+
+def test_float_product_overflow_is_rejected():
+    # (1e200 u^1)^2 overflows; trimmed against an infinite cutoff, every term
+    # would drop and the product would read 0
+    from folnerlab.polalg import _trim_float
+
+    big = ASU2.element({1: 1e200})
+    with pytest.raises(AlgebraError, match="not finite"):
+        big * big
+    # the S3 product runs through numpy, which warns of the overflow on the way
+    big = AS3.element({"std": 1e200})
+    with pytest.warns(RuntimeWarning), pytest.raises(AlgebraError, match="not finite"):
+        big * big
+    # a nan compares false both ways, wherever it stands; a finite
+    # coefficient can still have a modulus beyond the float range
+    for coeffs in ({0: 1 + 0j, 1: complex(math.nan)}, {0: complex(math.nan), 1: 1 + 0j},
+                   {0: complex(1.5e308, 1.5e308)}):
+        with pytest.raises(AlgebraError, match="not finite"):
+            _trim_float(coeffs)
+    assert _trim_float({0: 1 + 0j, 1: 1e-20 + 0j}) == {0: 1 + 0j}
+
+
 # ---------------------------------------------------------------------------
 # inner product and Haar state
 
@@ -421,7 +457,7 @@ def test_image_escaping_window_is_internal_error(algebra, F):
     top = ring.sorted_labels(F)[-1]
     T = MatrixOverPol.from_element(algebra.one() + algebra.basis(top))
     for side in ("right", "left"):
-        forged = BoundaryData(T.support(), side, interior=F, boundary=(), reach=set)
+        forged = BoundaryData(T.support(), side, window=F, boundary=(), reach=set)
         with pytest.raises(RuntimeError, match="fusion inclusion violated"):
             _restricted_operator(T, forged)
 

@@ -1,5 +1,6 @@
 """Relative dimension, the error sandwich, and the finite brute-force oracle."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from folnerlab import (AlgebraError, MatrixOverPol, algebra_for, ball,
 from folnerlab.polalg import _basis_triples
 from folnerlab.scalars import FLOAT
 
-from conftest import fraction_free_rank, random_element
+from conftest import fraction_free_rank, laurent_rank, random_element
 
 AZ = algebra_for("group:Z")
 AZ2 = algebra_for("group:Z^2")
@@ -273,6 +274,44 @@ def test_estimate_degenerate_interior():
         assert est.boundary_weight == est.window_weight
 
 
+def test_estimates_ore_pairs_and_towers_read_no_interior(monkeypatch):
+    # the operator's domain is the window without the record's boundary, and
+    # the degenerate flag reads the interior weight: the interior set of a
+    # record is never built
+    from folnerlab import OrePair, ore_pair
+    from folnerlab.fusion import BoundaryData
+
+    def forbidden(self):
+        raise AssertionError("interior read")
+
+    monkeypatch.setattr(BoundaryData, "interior", property(forbidden))
+    a = AZ.group_element({0: 1, 1: -1})
+    T = MatrixOverPol.from_element(a)
+    su2 = MatrixOverPol.from_element(ASU2.element({0: 1.0, 1: -0.25}))
+    for T_, F, side in [(T, range(-5, 6), "right"), (T, [-1, 0, 1], "left"),
+                        (su2, range(5), "right"), (su2, [0], "left")]:
+        est = kernel_dim_estimate(T_, F, side=side)
+        assert est.degenerate == (est.interior_weight == 0)
+    one, x, y = AHEIS.one(), AHEIS.group_element((1, 0, 0)), AHEIS.group_element((0, 1, 0))
+    assert isinstance(ore_pair(one - x, one - y, max_radius=10), OrePair)
+    rep = tower_kernel_dims(T, group_quotient_tower(AZ, [3, 27]), ball(AZ.ring, [1], 10))
+    assert [lv.quotient_dim for lv in rep.levels] == [Fraction(1, 3), Fraction(1, 27)]
+
+
+def test_non_finite_coefficients_give_no_bracket():
+    # such elements cannot be built (as_scalar refuses them); forged past the
+    # constructor, the operator assembly refuses them instead of trimming
+    # them away into the bracket [1, 1] or the dimension 1
+    from folnerlab import AlgebraElement
+
+    inf_unit = AlgebraElement._trusted(ASU2, {(0, 1, 1): complex(math.inf)})
+    with pytest.raises(AlgebraError, match="not finite"):
+        kernel_dim_estimate(MatrixOverPol.from_element(inf_unit), range(3))
+    nan_triv = AlgebraElement._trusted(AS3, {("triv", 1, 1): complex(math.nan)})
+    with pytest.raises(AlgebraError, match="not finite"):
+        exact_mvn_dim_finite(MatrixOverPol.from_element(nan_triv))
+
+
 def test_estimate_rejects_zero_and_open_window():
     with pytest.raises(AlgebraError):
         kernel_dim_estimate(MatrixOverPol.from_element(AZ.zero()), [0])
@@ -480,6 +519,52 @@ def test_group_ring_rank_agrees_with_fraction_free_and_svd(algebra, rank_one, da
     M = restricted_mult_matrix(T, window, side=side).matrix
     assert est.rank == fraction_free_rank(M) == _svd_rank(M)
     assert est.nullity == M.shape[1] - est.rank
+
+
+# ---------------------------------------------------------------------------
+# the exact dimension on Z^d against the brackets and the towers: Q(i)[Z^d]
+# is an Ore domain with field of fractions K = Q(i)(x_1, ..., x_d), so the
+# kernel dimension of T is n - rank_K(T), and the quotient dimensions on
+# (Z/m)^d average nullity(T(zeta)) >= n - rank_K(T) over the m-th roots
+
+def _laurent_cases():
+    z, one = AZ.group_element(1), AZ.one()
+    a = AZ.group_element({-1: (Fraction(1, 2), 1), 0: 2})
+    x, y, e = (AZ2.group_element(g) for g in ((1, 0), (0, 1), (0, 0)))
+    lap = AZ2.group_element({(0, 0): 4, (1, 0): -1, (-1, 0): -1, (0, 1): -1, (0, -1): -1})
+    mixed = AZ2.group_element({(0, 0): 3, (1, 0): -1, (0, 1): 2, (-1, 1): 1})
+    zero = AZ2.zero()
+    return {
+        "Z 1-x": (MatrixOverPol.from_element(one - z), 0),
+        "Z laplacian": (MatrixOverPol.from_element(one.scale(2) - z - AZ.group_element(-1)), 0),
+        "Z rank one": (MatrixOverPol(AZ, [[a, a], [a, a]]), 1),
+        "Z^2 laplacian": (MatrixOverPol.from_element(lap), 0),
+        "Z^2 mixed": (MatrixOverPol.from_element(mixed), 0),
+        "Z^2 triangular": (MatrixOverPol(AZ2, [[lap, zero], [e, lap]]), 0),
+        "Z^2 T2": (MatrixOverPol(AZ2, [[e - x, e - x], [e - y, e - y]]), 1),
+        "Z^2 1-x and 0": (MatrixOverPol(AZ2, [[e - x, zero], [zero, zero]]), 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_laurent_cases()))
+def test_brackets_and_towers_hold_the_exact_dimension_on_Z_d(case):
+    T, dim = _laurent_cases()[case]
+    assert T.n - laurent_rank(T) == dim
+    algebra = T.algebra
+    if algebra is AZ:
+        windows = [range(-N, N + 1) for N in (3, 6)]
+    else:
+        windows = [box2(N) for N in (2, 4)]
+    for F in windows:
+        for side in ("right", "left"):
+            est = kernel_dim_estimate(T, F, side=side)
+            assert est.lower <= dim <= est.upper, (F, side)
+    moduli = [2, 4, 8, 16] if algebra is AZ else [2, 4, 8]
+    rep = tower_kernel_dims(T, group_quotient_tower(algebra, moduli), windows[0])
+    qdims = [lv.quotient_dim for lv in rep.levels]
+    assert all(q >= dim for q in qdims), qdims
+    # the excess over the exact dimension falls along (Z/2^k)^d
+    assert qdims == sorted(qdims, reverse=True), qdims
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """JSON schema round-trips, CLI subcommands, exit codes, schema validation."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,28 @@ def test_float_coefficient_string_rejected_and_vice_versa():
         parse_element({"algebra": "group:Z", "mode": "exact",
                        "terms": [{"irrep": 0, "row": 1, "col": 1,
                                   "re": 1.0, "im": "0"}]})
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 10 ** 400, None, [1], True],
+                         ids=["inf", "-inf", "nan", "huge-int", "null", "list", "true"])
+def test_float_coefficient_must_be_a_finite_number(bad):
+    # the schema's "number" is finite and excludes booleans; the rest is not
+    # a number at all
+    term = {"irrep": 0, "row": 1, "col": 1, "re": 1.0, "im": 0.0}
+    for part in ("re", "im"):
+        with pytest.raises(SchemaError):
+            parse_element({"algebra": "su2", "mode": "float",
+                           "terms": [{**term, part: bad}]})
+
+
+@pytest.mark.parametrize("shape", [{"entries": 5}, {"entries": None}, {"n": 1.0},
+                                   {"n": True}, {"n": "1"}],
+                         ids=["entries-int", "entries-null", "n-float", "n-true", "n-str"])
+def test_malformed_matrix_shape_is_schema_error(shape):
+    obj = {"algebra": "group:Z", "mode": "exact", "n": 1,
+           "entries": [[element_to_json(AZ.one())]], **shape}
+    with pytest.raises(SchemaError):
+        parse_element(obj)
 
 
 def test_exact_byte_roundtrip(rng):
@@ -277,6 +300,28 @@ def test_boolean_matrix_indices_are_rejected(capsys, tmp_path):
     path = write(tmp_path, "bool.json", json.dumps(obj))
     code, out = run_cli(capsys, ["kernel-dim", "--matrix", path, "--window", "2"])
     assert (code, out) == (1, None)
+
+
+SU2_TERM = '{"algebra":"su2","mode":"float","terms":[{"irrep":0,"row":1,"col":1,"re":%s,"im":0}]}'
+Z_ONE = '{"algebra":"group:Z","mode":"exact","terms":[{"irrep":0,"re":"1","im":"0"}]}'
+
+
+@pytest.mark.parametrize("text", [
+    SU2_TERM % "1e400", SU2_TERM % "-1e400", SU2_TERM % "NaN", SU2_TERM % "Infinity",
+    SU2_TERM % "-Infinity", SU2_TERM % "null", SU2_TERM % "[1]", SU2_TERM % "true",
+    SU2_TERM.replace('"im":0', '"im":1.5e308') % "1.5e308",
+    '{"algebra":"group:Z","mode":"exact","n":1,"entries":5}',
+    '{"algebra":"group:Z","mode":"exact","n":1.0,"entries":[[%s]]}' % Z_ONE,
+], ids=["1e400", "-1e400", "NaN", "Infinity", "-Infinity", "null", "list", "true",
+        "modulus-overflow", "entries-int", "n-float"])
+def test_cli_rejects_non_finite_and_malformed_input(capsys, tmp_path, text):
+    # Python's json reads 1e400 as inf and takes the NaN and Infinity tokens;
+    # none of these reaches a report, and none ends in a traceback
+    path = write(tmp_path, "bad.json", text)
+    code = main(["kernel-dim", "--matrix", path, "--window", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error:")
 
 
 def test_cli_deterministic_bytes(capsys, tmp_path):
