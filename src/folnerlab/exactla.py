@@ -105,15 +105,19 @@ class ScalarMatrix:
 # float path: the only dense matrices, and the only numpy
 
 def _float_svd(M: ScalarMatrix):
-    """(rank, dense M, singular values, V^H) of a finite float matrix."""
+    """(rank, dense M without its zero rows, singular values, V^H) of a
+    finite float matrix."""
     import numpy as np
 
     if not M.is_finite():
         raise ValueError("matrix has non-finite entries")
-    rows, cols = M.shape
-    A = np.zeros(M.shape, dtype=complex)
+    # a zero row changes neither the singular values nor V: only the rows
+    # that hold an entry are made dense
+    index = {r: k for k, r in enumerate(sorted({r for r, _ in M.entries}))}
+    rows, cols = len(index), M.shape[1]
+    A = np.zeros((rows, cols), dtype=complex)
     for (r, c), v in M.entries.items():
-        A[r, c] = v
+        A[index[r], c] = v
     if rows == 0 or cols == 0:
         return 0, A, np.zeros((0,)), np.eye(cols, dtype=complex)
     _, sv, vh = np.linalg.svd(A)

@@ -6,8 +6,9 @@ families implement multiplication:
 
 * group algebras   -- convolution through the group law; exact Gaussian
                       rationals, so kernels and certificates are exact;
-* finite:S3        -- pointwise products of functions on S3, evaluated through
-                      stored unitary irrep matrices; complex doubles;
+* finite:S3        -- pointwise products of functions on the six points of
+                      S3, through a table of the real orthogonal irreps at
+                      each point; complex doubles;
 * su2              -- products of matrix coefficients expanded with real
                       orthonormal Clebsch-Gordan coefficients; complex doubles.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain
+from itertools import chain, permutations
 
 from . import cg, exactla
 from .fusion import (BoundaryData, FusionRing, GroupFusionRing, InvalidLabelError,
@@ -39,32 +40,25 @@ class AlgebraError(ValueError):
     """Illegal element construction or cross-algebra arithmetic."""
 
 
-def _s3_permutations():
-    return [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+def _s3_values() -> dict:
+    """u^label_ij at the six permutations p of {0, 1, 2} (lexicographic), as
+    plain floats, for the real orthogonal irreps: triv, sgn, and std on the
+    sum-zero plane of R^3 in the orthonormal basis whose columns are b, so
+    std(p)_rc = sum_l b[p(l)][r] b[l][c]."""
+    s2, s6 = math.sqrt(2), math.sqrt(6)
+    b = ((1 / s2, 1 / s6), (-1 / s2, 1 / s6), (0.0, -2 / s6))
+    perms = tuple(permutations(range(3)))
+    inversions = [sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) for p in perms]
+    values = {("triv", 1, 1): (1.0,) * 6,
+              ("sgn", 1, 1): tuple(-1.0 if k % 2 else 1.0 for k in inversions)}
+    for r in range(2):
+        for c in range(2):
+            values[("std", r + 1, c + 1)] = tuple(sum(b[p[l]][r] * b[l][c] for l in range(3))
+                                                  for p in perms)
+    return values
 
 
-def _s3_rep_tables():
-    """Evaluation tables rep[label][g] = unitary matrix of g (real entries)."""
-    import numpy as np
-
-    perms = _s3_permutations()
-    b = np.array([[1 / math.sqrt(2), 1 / math.sqrt(6)],
-                  [-1 / math.sqrt(2), 1 / math.sqrt(6)],
-                  [0.0, -2 / math.sqrt(6)]])
-    tables = {"triv": {}, "sgn": {}, "std": {}}
-    for p in perms:
-        pm = np.zeros((3, 3))
-        for i in range(3):
-            pm[p[i], i] = 1.0
-        sign = 1.0
-        # parity via inversion count
-        inv = sum(1 for i in range(3) for j in range(i + 1, 3) if p[i] > p[j])
-        if inv % 2:
-            sign = -1.0
-        tables["triv"][p] = np.array([[1.0]])
-        tables["sgn"][p] = np.array([[sign]])
-        tables["std"][p] = b.T @ pm @ b
-    return perms, tables
+_S3_VALUES = _s3_values()
 
 
 class PolAlgebra:
@@ -79,8 +73,6 @@ class PolAlgebra:
             self.mode = FLOAT
         else:
             raise AlgebraError(f"no multiplication provider for ring {ring.tag}")
-        if isinstance(ring, S3FusionRing):
-            self._s3_elems, self._s3_reps = _s3_rep_tables()
 
     # -- construction --------------------------------------------------------
 
@@ -130,10 +122,21 @@ class PolAlgebra:
                                                  for (g, _, _), ca in a._coeffs.items()
                                                  for (h, _, _), cb in b._coeffs.items()))
         if isinstance(ring, S3FusionRing):
-            fa = self._s3_evaluate(a)
-            fb = self._s3_evaluate(b)
-            return self._s3_expand(fa * fb)
+            return self._s3_multiply(a, b)
         return self._su2_multiply(a, b)
+
+    def _s3_multiply(self, a, b):
+        """Pointwise on the six points of S3, then back by Peter-Weyl:
+        c_ij = n_label / 6 * sum_g u_ij(g) f(g)."""
+        fa, fb = ([sum((c * _S3_VALUES[key][g] for key, c in x._coeffs.items()), 0j)
+                   for g in range(6)] for x in (a, b))
+        f = [x * y for x, y in zip(fa, fb)]
+        out = {}
+        for key, u in _S3_VALUES.items():
+            c = sum((ug * fg for ug, fg in zip(u, f)), 0j) * self.ring._dim(key[0]) / 6.0
+            if c:
+                out[key] = c
+        return AlgebraElement._trusted(self, _trim_float(out))
 
     def _su2_multiply(self, a, b):
         out = {}
@@ -152,31 +155,6 @@ class PolAlgebra:
                     if w:
                         key = (lc, p + 1, q + 1)
                         out[key] = out.get(key, 0j) + pre * w
-        return AlgebraElement._trusted(self, _trim_float(out))
-
-    def _s3_evaluate(self, a):
-        import numpy as np
-
-        vals = np.zeros(6, dtype=complex)
-        for gi, g in enumerate(self._s3_elems):
-            acc = 0j
-            for (label, i, j), c in a._coeffs.items():
-                acc += c * self._s3_reps[label][g][i - 1, j - 1]
-            vals[gi] = acc
-        return vals
-
-    def _s3_expand(self, vals):
-        out = {}
-        for label in self.ring.labels:
-            n = self.ring._dim(label)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    acc = 0j
-                    for gi, g in enumerate(self._s3_elems):
-                        acc += self._s3_reps[label][g][i - 1, j - 1] * vals[gi]
-                    c = acc * n / 6.0
-                    if c:
-                        out[(label, i, j)] = c
         return AlgebraElement._trusted(self, _trim_float(out))
 
     # -- involution ------------------------------------------------------------

@@ -110,25 +110,29 @@ def as_scalar(value, mode: str):
 
     Exact mode accepts ints, Fractions, QQi and (re, im) pairs; float mode
     accepts any finite number. Floats are rejected in exact mode: exactness of
-    the group-algebra providers is the point of that mode.
+    the group-algebra providers is the point of that mode. A malformed number
+    (a zero denominator, an int beyond the float range) raises ValueError.
     """
-    if mode == EXACT:
-        if isinstance(value, QQi):
+    try:
+        if mode == EXACT:
+            if isinstance(value, QQi):
+                return value
+            if isinstance(value, _RatLike):
+                return QQi(value)
+            if isinstance(value, tuple) and len(value) == 2:
+                return QQi(Fraction(value[0]), Fraction(value[1]))
+            if isinstance(value, str):
+                return QQi(Fraction(value))
+            raise TypeError(
+                f"exact mode needs rational data, got {type(value).__name__}"
+            )
+        if mode == FLOAT:
+            value = complex(value)
+            if not cmath.isfinite(value):
+                raise ValueError(f"float coefficients must be finite, got {value!r}")
             return value
-        if isinstance(value, _RatLike):
-            return QQi(value)
-        if isinstance(value, tuple) and len(value) == 2:
-            return QQi(Fraction(value[0]), Fraction(value[1]))
-        if isinstance(value, str):
-            return QQi(Fraction(value))
-        raise TypeError(
-            f"exact mode needs rational data, got {type(value).__name__}"
-        )
-    if mode == FLOAT:
-        value = complex(value)
-        if not cmath.isfinite(value):
-            raise ValueError(f"float coefficients must be finite, got {value!r}")
-        return value
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed {mode} coefficient: {exc}") from None
     raise ValueError(f"unknown scalar mode {mode!r}")
 
 

@@ -162,30 +162,22 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
     if not 2 * dec.interior_weight > weighted_size(ring, ball(ring, S, radius)):
         raise RuntimeError("window bookkeeping is broken: 2|int| <= |F|")
 
-    ra = _restricted_operator(MatrixOverPol.from_element(a), dec)
-    rs = _restricted_operator(MatrixOverPol.from_element(s), dec)
-    kernel = exactla.nullspace_basis(_minus_block(ra.matrix, rs.matrix))
+    # (x, y) -> a x - s y is the first row on the left; MatrixOverPol is square, hence the zero row
+    zero = a.algebra.zero()
+    op = _restricted_operator(MatrixOverPol(a.algebra, [[a, -s], [zero, zero]]), dec)
+    kernel = exactla.nullspace_basis(op.matrix)
     if not kernel:
         raise RuntimeError("column surplus did not produce a kernel; backend broken")
-    d = ra.matrix.shape[1]
     for vec in kernel if prefer_ore else kernel[:1]:
-        (t,) = ra.elements_from_coords(vec[:d])
-        (b,) = rs.elements_from_coords(vec[d:])
+        t, b = op.elements_from_coords(vec)
         if not t.is_zero():
             break
     else:
         # t = 0 forces s b = 0 with b != 0, an explicit certificate that s
         # is a zero divisor (impossible when the algebra is a domain)
-        return _zero_divisor_certificate(s, b, "left", ra.window, radius)
-    pair = OrePair(a=a, s=s, t=t, b=b, window=ra.window, radius=radius)
+        return _zero_divisor_certificate(s, b, "left", op.window, radius)
+    pair = OrePair(a=a, s=s, t=t, b=b, window=op.window, radius=radius)
     if not _vanishes(pair.residual()):
         raise RuntimeError("ore pair failed residual verification")
     return pair
 
-
-def _minus_block(A: exactla.ScalarMatrix, B: exactla.ScalarMatrix) -> exactla.ScalarMatrix:
-    """[A | -B], the matrix of (x, y) -> A x - B y; A and B share their rows."""
-    rows, d = A.shape
-    entries = dict(A.entries)
-    entries.update(((r, d + c), -v) for (r, c), v in B.entries.items())
-    return exactla.ScalarMatrix(A.mode, (rows, d + B.shape[1]), entries=entries)

@@ -177,6 +177,20 @@ def test_float_rank_stable_under_small_noise():
         assert rank_nullity(P)[0] == rank
 
 
+def test_float_kernel_ignores_zero_rows():
+    # the padded square operator of ore_pair has a block of zero rows: the
+    # rank and the kernel vectors are those of the matrix without them
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 7))
+    padded = np.zeros((9, 7))
+    padded[[0, 2, 3, 6]] = base
+    M, P = (ScalarMatrix.from_rows(a, FLOAT) for a in (base, padded))
+    assert rank_nullity(P) == rank_nullity(M) == (3, 4)
+    for v, w in zip(nullspace_basis(P), nullspace_basis(M), strict=True):
+        assert np.array_equal(v, w)
+        assert np.linalg.norm(padded @ v) < 1e-12
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize("kernel", [rank_nullity, nullspace_basis])
 def test_float_nonfinite_rejected(bad, kernel):

@@ -1,6 +1,9 @@
 """Algebra elements: multiplication, star, Haar state, restricted operators."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +14,7 @@ from folnerlab import (AlgebraElement, AlgebraError, InvalidLabelError,
                        restricted_mult_matrix, support, weighted_size)
 from folnerlab.scalars import EXACT, QQi
 
-from conftest import random_element, small_support
+from conftest import REPO_ROOT, random_element, small_support
 
 AZ = algebra_for("group:Z")
 AZ2 = algebra_for("group:Z^2")
@@ -155,6 +158,21 @@ def test_non_finite_float_coefficient_is_rejected(bad):
         AS3.element({"triv": 1.0}).scale(bad)
 
 
+@pytest.mark.parametrize("value, mode", [(10 ** 400, "float"), ("1/0", "exact"),
+                                         (("1", "0/0"), "exact")],
+                         ids=["int-beyond-float", "zero-denominator", "zero-over-zero"])
+def test_malformed_number_is_a_value_error(value, mode):
+    from folnerlab.scalars import as_scalar
+
+    with pytest.raises(ValueError, match="malformed"):
+        as_scalar(value, mode)
+    algebra = AZ if mode == EXACT else ASU2
+    with pytest.raises(ValueError, match="malformed"):
+        algebra.element({0: value})
+    with pytest.raises(ValueError, match="malformed"):
+        algebra.one().scale(value)
+
+
 def test_float_product_overflow_is_rejected():
     # (1e200 u^1)^2 overflows; trimmed against an infinite cutoff, every term
     # would drop and the product would read 0
@@ -163,9 +181,8 @@ def test_float_product_overflow_is_rejected():
     big = ASU2.element({1: 1e200})
     with pytest.raises(AlgebraError, match="not finite"):
         big * big
-    # the S3 product runs through numpy, which warns of the overflow on the way
     big = AS3.element({"std": 1e200})
-    with pytest.warns(RuntimeWarning), pytest.raises(AlgebraError, match="not finite"):
+    with pytest.raises(AlgebraError, match="not finite"):
         big * big
     # a nan compares false both ways, wherever it stands; a finite
     # coefficient can still have a modulus beyond the float range
@@ -197,6 +214,49 @@ def s3_rep_matrices():
                    "sgn": np.array([[-1.0 if inv % 2 else 1.0]]),
                    "std": B.T @ P @ B}
     return perms, reps
+
+
+S3_BASIS = [("triv", 1, 1), ("sgn", 1, 1)] + [("std", i, j) for i in (1, 2) for j in (1, 2)]
+
+
+def test_s3_basis_products_are_pointwise():
+    # against the independent irreps: (u v)(g) = u(g) v(g) at each permutation
+    perms, reps = s3_rep_matrices()
+
+    def value(x, p):
+        return sum(complex(c) * reps[p][label][i - 1, j - 1] for (label, i, j), c in x.terms())
+
+    for k1 in S3_BASIS:
+        for k2 in S3_BASIS:
+            u, v = AS3.basis(*k1), AS3.basis(*k2)
+            uv = u * v
+            for p in perms:
+                assert abs(value(uv, p) - value(u, p) * value(v, p)) < 1e-12, (k1, k2, p)
+
+
+def test_s3_product_coefficients_are_builtin_complex(rng):
+    prods = [AS3.basis(*k1) * AS3.basis(*k2) for k1 in S3_BASIS for k2 in S3_BASIS]
+    pool = pool_for(AS3)
+    prods += [random_element(AS3, rng, pool) * random_element(AS3, rng, pool) for _ in range(8)]
+    assert {type(c) for x in prods for _, c in x.terms()} == {complex}
+
+
+def test_s3_arithmetic_imports_no_numpy():
+    code = """
+import sys
+from folnerlab import algebra_for
+A = algebra_for("finite:S3")
+x = A.element({("std", 1, 2): 1.5 + 2j, "triv": -0.25, "sgn": 3})
+y = (x * x.star() + A.one()).scale(0.5)
+assert abs(y.haar() - 0.5 * (x.inner(x) + 1)) < 1e-12
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_s3_inner_products_by_averaging():

@@ -277,7 +277,7 @@ def test_ore_rejects_zero_inputs():
 
 # ---------------------------------------------------------------------------
 # float providers: su2 and finite:S3 go through the SVD kernel, the float
-# [A | -B] block and the tolerance checks of the certificates
+# two-component Ore operator and the tolerance checks of the certificates
 
 def test_ore_su2_float():
     a, s = ASU2.basis(1, 1, 1), ASU2.basis(1, 2, 2)
