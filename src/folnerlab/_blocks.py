@@ -8,16 +8,19 @@ and on either side
 
     nullity(T) = sum over pi of d_pi * nullity(pi(T)).
 
-Both exact finite families have irreducibles whose matrices are monomial in
-the m-th roots of unity:
+On both exact families every pi is monomial on C^d,
+pi(g) e_j = zeta_L^e e_((j + sigma(g)) mod d), so a family gives only its
+keys, one per pi, and the placement (sigma(g), e) of g, e affine in j:
 
-* Z/m_1 x ... x Z/m_r: the characters g -> zeta^(sum k_i g_i L/m_i) with
-  L = lcm(m_i), one per k (Perlis and Walker, Trans. AMS 68, 1950);
-* Heisenberg mod m, with (a, b, c) = x^a y^b z^(c - ab): a central character
-  z -> omega = zeta_m^k of order d has (m/d)^2 irreducibles of dimension d,
-  X = alpha * shift and Y = diag(beta omega^-j) with alpha = zeta_m^a,
-  beta = zeta_m^b, a, b in [0, m/d) (Serre, Linear Representations of
-  Finite Groups, 8.2).
+* Z/m_1 x ... x Z/m_r, L = lcm(m_i): keys k in the product of the Z/m_i,
+  d = 1, sigma = 0, e = sum k_i g_i L/m_i, the characters (Perlis and
+  Walker, Trans. AMS 68, 1950);
+* Heisenberg mod m, L = m, the label g = (g_a, g_b, g_c) standing for
+  x^g_a y^g_b z^(g_c - g_a g_b): keys (k, a, b), r = gcd(m, k), d = m/r,
+  (a, b) in (Z/r)^2, sigma(g) = g_a and
+  e = a g_a + b g_b + k (g_c - g_a g_b - j g_b), that is z -> zeta^k,
+  x -> zeta^a shift, y -> diag(zeta^(b - kj)) (Serre, Linear
+  Representations of Finite Groups, 8.2).
 
 The automorphism zeta -> zeta^u of Q(zeta_L), u a unit mod L, maps pi(T) to
 sigma_u(pi)(T) when it fixes T's coefficients, so the blocks of one orbit
@@ -116,9 +119,8 @@ def kernel_dim(T) -> Fraction:
               for q, t in enumerate(row) for (g, _, _), c in t._coeffs.items()]
     gaussian = any(c.im for *_, c in coeffs)
     heisenberg = isinstance(ring, HeisenbergRing)
-    L = ring.modulus if heisenberg else lcm(*ring.moduli)
-    if gaussian:
-        L = lcm(L, 4)
+    moduli = (ring.modulus,) if heisenberg else ring.moduli
+    L = lcm(*moduli, 4 if gaussian else 1)
     units = [u for u in range(1, L) if gcd(u, L) == 1 and (u % 4 == 1 or not gaussian)]
     # scaling T by a common denominator keeps every rank; c = re + im i is
     # (exponent shift, integer) parts: re at zeta^0, im at i = zeta^(L/4)
@@ -127,50 +129,47 @@ def kernel_dim(T) -> Fraction:
                         for shift, x in ((0, c.re), (L // 4, c.im)) if x])
              for p, q, g, c in coeffs]
 
+    # per family: (key, its moduli under the units, d); place(key, g) = (sigma, e_0, de)
+    if heisenberg:
+        (m,) = moduli
+        s = L // m
+        order = m ** 3
+        blocks = [((k, a, b), (m, r, r), m // r) for k in range(m) for r in (gcd(m, k),)
+                  for a, b in product(range(r), repeat=2)]
+
+        def place(key, g):
+            k, a, b = key
+            ga, gb, gc = g
+            return ga, (a * ga + b * gb + k * (gc - ga * gb)) * s, -k * gb * s
+    else:
+        order = prod(moduli)
+        blocks = [(k, moduli, 1) for k in product(*map(range, moduli))]
+        # a label as its exponents g_i L/m_i: e is their dot product with the key
+        terms = [(p, q, [x * (L // mi) for x, mi in
+                         zip((g,) if ring.scalar_labels else g, moduli)], parts)
+                 for p, q, g, parts in terms]
+
+        def place(key, g):
+            return 0, sum(map(int.__mul__, key, g)), 0
+
     nullity = covered = 0
     seen = set()
-    if heisenberg:
-        m = ring.modulus
-        scale = L // m
-        for k in range(m):
-            d = m // gcd(m, k)
-            r = m // d
-            for a, b in product(range(r), repeat=2):
-                if (k, a, b) in seen:
-                    continue
-                orbit = {(u * k % m, u * a % r, u * b % r) for u in units}
-                seen |= orbit
-                cells = {}
-                for p, q, (ga, gb, gc), parts in terms:
-                    e = a * ga + b * gb + k * (gc - ga * gb)
-                    for j in range(d):
-                        row, col = p * d + (j + ga) % d, q * d + j
-                        for shift, x in parts:
-                            key = (row, col, ((e - k * j * gb) * scale + shift) % L)
-                            cells[key] = cells.get(key, 0) + x
-                nullity += len(orbit) * d * _block_nullity(cells, n * d, L)
-                covered += len(orbit) * d * d
-        order = m ** 3
-    else:
-        moduli = ring.moduli
-        scales = [L // mi for mi in moduli]
-        if ring.scalar_labels:
-            terms = [(p, q, (g,), parts) for p, q, g, parts in terms]
-        for k in product(*map(range, moduli)):
-            if k in seen:
-                continue
-            orbit = {tuple(u * x % mi for x, mi in zip(k, moduli)) for u in units}
-            seen |= orbit
-            weights = [x * s for x, s in zip(k, scales)]
-            cells = {}
-            for p, q, g, parts in terms:
-                e = sum(map(int.__mul__, weights, g))
+    for key, key_moduli, d in blocks:
+        if key in seen:
+            continue
+        # u * key for every unit u, one component at a time
+        orbit = set(zip(*[[u * x % mi for u in units] for x, mi in zip(key, key_moduli)]))
+        seen |= orbit
+        cells = {}
+        for p, q, g, parts in terms:
+            sigma, e, de = place(key, g)
+            for j in range(d):
+                row, col = p * d + (j + sigma) % d, q * d + j
                 for shift, x in parts:
-                    key = (p, q, (e + shift) % L)
-                    cells[key] = cells.get(key, 0) + x
-            nullity += len(orbit) * _block_nullity(cells, n, L)
-            covered += len(orbit)
-        order = prod(moduli)
+                    cell = (row, col, (e + j * de + shift) % L)
+                    cells[cell] = cells.get(cell, 0) + x
+        nullity += len(orbit) * d * _block_nullity(cells, n * d, L)
+        covered += len(orbit) * d * d
     if covered != order:
         raise RuntimeError(f"irreducible blocks cover {covered} of {order} dimensions")
     return Fraction(nullity, order)

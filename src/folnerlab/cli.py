@@ -163,17 +163,16 @@ def _run_check_axioms(args) -> int:
     ring = ring_from_tag(args.ring)
     if args.labels:
         labels = _labels_flag(ring, args.labels)
-    elif ring.tag == "su2":  # infinite, but a fixed label range needs no ball
-        labels = range(13)
     elif ring.is_finite:
         labels = ring.irreducibles()
+    elif args.generators:
+        labels = ball(ring, _labels_flag(ring, args.generators), args.limit)
+    elif ring.tag == "su2":  # infinite, but a fixed label range needs no ball
+        labels = range(13)
     else:
-        gens = _labels_flag(ring, args.generators) if args.generators else None
-        if gens is None:
-            raise CliError(
-                f"{ring.tag} is infinite: pass --labels or --generators "
-                "(axioms are then checked on the radius --limit ball)")
-        labels = ball(ring, gens, args.limit)
+        raise CliError(
+            f"{ring.tag} is infinite: pass --labels or --generators "
+            "(axioms are then checked on the radius --limit ball)")
     report = check_axioms(ring, labels)
     _emit({"kind": "axiom_report", **report,
            "failures": [repr(f) for f in report["failures"]]}, args.out)

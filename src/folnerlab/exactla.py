@@ -104,27 +104,24 @@ class ScalarMatrix:
 # ---------------------------------------------------------------------------
 # float path: the only dense matrices, and the only numpy
 
-def _float_svd(M: ScalarMatrix):
-    """(rank, dense M without its zero rows, singular values, V^H) of a
-    finite float matrix."""
+def _dense(M: ScalarMatrix):
+    """A finite float M without its zero rows, as a dense array: a zero row
+    changes neither the singular values nor V."""
     import numpy as np
 
     if not M.is_finite():
         raise ValueError("matrix has non-finite entries")
-    # a zero row changes neither the singular values nor V: only the rows
-    # that hold an entry are made dense
     index = {r: k for k, r in enumerate(sorted({r for r, _ in M.entries}))}
-    rows, cols = len(index), M.shape[1]
-    A = np.zeros((rows, cols), dtype=complex)
+    A = np.zeros((len(index), M.shape[1]), dtype=complex)
     for (r, c), v in M.entries.items():
         A[index[r], c] = v
-    if rows == 0 or cols == 0:
-        return 0, A, np.zeros((0,)), np.eye(cols, dtype=complex)
-    _, sv, vh = np.linalg.svd(A)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0, A, sv, vh
-    rank = int(np.count_nonzero(sv > DEFAULT_FLOAT_TOL * sv[0]))
-    return rank, A, sv, vh
+    return A
+
+
+def _float_rank(sv) -> int:
+    """The number of singular values above DEFAULT_FLOAT_TOL times the
+    largest; sv is in descending order."""
+    return int((sv > DEFAULT_FLOAT_TOL * sv[0]).sum()) if sv.size else 0
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +217,10 @@ def rank_nullity(M: ScalarMatrix) -> tuple[int, int]:
     """(rank, nullity) with rank + nullity = cols; exact in exact mode."""
     cols = M.shape[1]
     if M.mode == FLOAT:
-        rank = _float_svd(M)[0]
+        import numpy as np
+
+        A = _dense(M)  # the rank needs the singular values only
+        rank = _float_rank(np.linalg.svd(A, compute_uv=False)) if A.size else 0
         return rank, cols - rank
     if _certified_full_rank(M):
         return cols, 0
@@ -235,7 +235,12 @@ def nullspace_basis(M: ScalarMatrix) -> list:
     if M.mode == FLOAT:
         import numpy as np
 
-        rank, A, sv, vh = _float_svd(M)
+        A = _dense(M)
+        if A.size:
+            _, sv, vh = np.linalg.svd(A)
+        else:
+            sv, vh = np.zeros(0), np.eye(cols, dtype=complex)
+        rank = _float_rank(sv)
         basis = [np.conj(vh[k]) for k in range(rank, cols)]
         scale = float(sv[0]) if sv.size else 0.0
         for v in basis:

@@ -162,6 +162,26 @@ def test_float_rank_and_nullspace():
     assert np.linalg.norm(arr @ v) < 1e-12
 
 
+def test_float_rank_asks_for_no_singular_vectors(monkeypatch):
+    # the rank reads the singular values only; the kernel needs V^H, and a
+    # matrix without entries needs no SVD at all
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(A, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    M = ScalarMatrix.from_rows(np.array([[1.0, 1.0], [1.0, 1.0]]), FLOAT)
+    assert rank_nullity(M) == (1, 1)
+    assert len(nullspace_basis(M)) == 1
+    empty = ScalarMatrix(FLOAT, (2, 3))
+    assert rank_nullity(empty) == (0, 3)
+    assert len(nullspace_basis(empty)) == 3
+    assert calls == [False, True]
+
+
 def test_float_rank_stable_under_small_noise():
     rng = np.random.default_rng(7)
     base = rng.standard_normal((8, 6)) @ np.diag([1, 1, 1, 1, 0, 0]) \

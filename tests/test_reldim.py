@@ -1,6 +1,7 @@
 """Relative dimension, the error sandwich, and the finite brute-force oracle."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -349,6 +350,33 @@ def test_mvn_gaussian_input_keeps_conjugate_characters_apart():
             _, nullity = rank_nullity(full_mult_matrix(T, side=side).matrix)
             assert nullity == 1
             assert exact_mvn_dim_finite(T, side=side) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("tag, terms, blocks", [
+    ("group:heisenberg/4", {(0, 0, 0): 5, (1, 0, 0): -2, (0, 1, 0): -3},
+     {(1, 4): 10, (2, 4): 4, (4, 4): 1}),
+    ("group:Z/8xZ/8", {(0, 0): 5, (1, 0): -2, (0, 1): -3}, {(1, 8): 22}),
+    ("group:Z/4", {0: 1, 1: (0, 1)}, {(1, 4): 4}),
+    ("group:heisenberg/3", {(0, 0, 0): 5, (1, 0, 0): -2, (0, 1, 0): (0, -3)},
+     {(1, 12): 5, (3, 12): 1}),
+])
+def test_finite_dim_ranks_one_block_per_galois_orbit(monkeypatch, side, tag, terms, blocks):
+    # {(block size, L): count}: the orbits of the units mod L (u = 1 mod 4,
+    # L a multiple of 4, for Gaussian coefficients) on the irreducibles,
+    # one ranked block each
+    from folnerlab import _blocks
+
+    ranked = Counter()
+    block_nullity = _blocks._block_nullity
+
+    def recording(cells, size, L):
+        ranked[size, L] += 1
+        return block_nullity(cells, size, L)
+
+    monkeypatch.setattr(_blocks, "_block_nullity", recording)
+    exact_mvn_dim_finite(MatrixOverPol.from_element(algebra_for(tag).element(terms)), side=side)
+    assert ranked == blocks
 
 
 def _deep_level(tag):

@@ -257,6 +257,19 @@ def test_cli_check_axioms(capsys):
     validate("check_axioms", out)
 
 
+@pytest.mark.parametrize("ring, flags, checked", [
+    ("su2", [], 13),
+    ("su2", ["--generators", "[1]", "--limit", "20"], 21),
+    ("group:Z/6", ["--generators", "[1]", "--limit", "1"], 6),
+])
+def test_cli_check_axioms_generators_build_the_ball_on_infinite_rings(capsys, ring, flags, checked):
+    # the radius-20 ball of su2 is the labels 0..20; a finite ring checks
+    # all its irreducibles whatever the flags
+    code, out = run_cli(capsys, ["check-axioms", "--ring", ring, *flags])
+    assert code == 0
+    assert out["labels_checked"] == checked
+
+
 def test_cli_error_paths(capsys, tmp_path):
     code, _ = run_cli(capsys, ["folner", "--ring", "group:nope", "--S", "1",
                                "--epsilon", "1/2"])
