@@ -20,14 +20,16 @@ its leading rows, never by its size:
   stay small on sparse operators), over ``Fraction`` when every entry has a
   zero imaginary part and over ``QQi`` otherwise. The RREF is unique, so the
   field changes only the speed: the rank is its number of pivots, the kernel
-  basis comes from its free columns.
+  basis comes from its free columns, in column order.
 
-Every emitted kernel vector is re-verified: M v = 0 exactly, or
-||M v|| <= 10 tol ||M|| ||v|| in float mode, with tol = DEFAULT_FLOAT_TOL
-(which also sets the float rank's singular-value threshold). The exact check
-runs on the vector's support only, through a column index of M built once
-per call, before the vector is spread into a dense list. All paths are
-deterministic, so identical inputs give bit-identical outputs.
+``nullspace_basis(M, limit=k)`` builds only the first k basis vectors, in
+both modes; callers that read one vector ask for one. Every emitted kernel
+vector is re-verified: M v = 0 exactly, or ||M v|| <= 10 tol ||M|| ||v|| in
+float mode, with tol = DEFAULT_FLOAT_TOL (which also sets the float rank's
+singular-value threshold). The exact check runs on the vector's support
+only, through a column index of M built once per call, before the vector is
+spread into a dense list. All paths are deterministic, so identical inputs
+give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -161,7 +163,10 @@ def _rref(M: ScalarMatrix):
     pivot rows before it, and its own pivot is then cancelled from them
     through a column -> pivot rows index. Division keeps the entries of these
     sparse operators small (fraction-free elimination took 84.6 s against
-    0.08 s on a 593x670 Heisenberg Ore operator)."""
+    0.08 s on a 593x670 Heisenberg Ore operator). A row whose pivot is 1 is
+    not rescaled and one whose pivot is -1 is negated: on unit-coefficient
+    group-ring operators most pivots are units, and the scaled row would
+    equal the row in value and type."""
     real = all(not v.im for v in M.entries.values())
     by_row: dict[int, dict] = {}
     for (r, c), v in M.entries.items():
@@ -176,8 +181,12 @@ def _rref(M: ScalarMatrix):
         if not row:
             continue
         p = min(row)
-        inv = 1 / row[p]
-        row = {c: x * inv for c, x in row.items()}
+        lead = row[p]
+        if lead == -1:
+            row = {c: -x for c, x in row.items()}
+        elif lead != 1:
+            inv = 1 / lead
+            row = {c: x * inv for c, x in row.items()}
         for k in in_col.pop(p, ()):
             other = pivot_row[k]
             if p in other:  # else cancelled since it was indexed
@@ -228,9 +237,13 @@ def rank_nullity(M: ScalarMatrix) -> tuple[int, int]:
     return len(pivots), cols - len(pivots)
 
 
-def nullspace_basis(M: ScalarMatrix) -> list:
+def nullspace_basis(M: ScalarMatrix, *, limit: int | None = None) -> list:
     """Kernel basis, deterministic; exact vectors have leading entry 1,
-    float vectors are unit-norm. Every vector is re-verified against M."""
+    float vectors are unit-norm. With ``limit``, only the first ``limit``
+    vectors of that basis are built and returned, in the same order. Every
+    returned vector is re-verified against M."""
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be >= 0")
     cols = M.shape[1]
     if M.mode == FLOAT:
         import numpy as np
@@ -241,7 +254,7 @@ def nullspace_basis(M: ScalarMatrix) -> list:
         else:
             sv, vh = np.zeros(0), np.eye(cols, dtype=complex)
         rank = _float_rank(sv)
-        basis = [np.conj(vh[k]) for k in range(rank, cols)]
+        basis = [np.conj(vh[k]) for k in range(rank, cols)][:limit]
         scale = float(sv[0]) if sv.size else 0.0
         for v in basis:
             if np.linalg.norm(A @ v) > \
@@ -251,14 +264,14 @@ def nullspace_basis(M: ScalarMatrix) -> list:
     if _certified_full_rank(M):
         return []
     rows, pivots = _rref(M)
-    # one sparse vector per free column j, in order: at each pivot p, minus
-    # the entry of p's RREF row in column j (only pivots p < j have one)
-    kernel: dict[int, dict] = {j: {} for j in range(cols)}
+    # one sparse vector per wanted free column j, in order: at each pivot p,
+    # minus the entry of p's RREF row in column j (only pivots p < j have one)
+    pivot_set = set(pivots)
+    free = [j for j in range(cols) if j not in pivot_set][:limit]
+    kernel: dict[int, dict] = {j: {} for j in free}
     for p, row in zip(pivots, rows):
-        del kernel[p]
-        for c, x in row.items():
-            if c != p:
-                kernel[c][p] = -x
+        for j in kernel.keys() & row.keys():
+            kernel[j][p] = -row[j]
     by_col: dict[int, list] = {}
     for (r, c), e in M.entries.items():
         by_col.setdefault(c, []).append((r, e))

@@ -11,11 +11,12 @@
 * ore_pair: solves a t = s b by finding a window F with
   |bd_S F| < 1/2 |F| (S the joint support), where the map
   (x, y) -> a x - s y out of W_int + W_int into W_F has more columns than
-  rows in weighted counts and therefore a nonzero kernel. If the kernel
-  vector found has t = 0, then s b = 0 with b != 0 is itself a zero-divisor
-  certificate and is returned instead (pass prefer_ore=True to scan the
-  whole kernel basis for a usable t first). Every returned object is
-  re-verified by a full multiplication, exactly in exact mode.
+  rows in weighted counts and therefore a nonzero kernel. Only the first
+  kernel vector is built. If it has t = 0, then s b = 0 with b != 0 is
+  itself a zero-divisor certificate and is returned instead (pass
+  prefer_ore=True to build and scan the whole kernel basis for a usable t
+  first). Every returned object is re-verified by a full multiplication,
+  exactly in exact mode.
 
 Left multiplications use the left-sided interior throughout; on commutative
 providers it coincides with the right one.
@@ -110,7 +111,7 @@ def zero_divisor_search(a: AlgebraElement, side: str = "left",
     dims = []
     for radius in range(max_radius + 1):
         op = _restricted_operator(T, ball_boundary(algebra.ring, S, radius, side=side))
-        kernel = exactla.nullspace_basis(op.matrix)
+        kernel = exactla.nullspace_basis(op.matrix, limit=1)
         if kernel:
             (b,) = op.elements_from_coords(kernel[0])
             return _zero_divisor_certificate(a, b, side, op.window, radius)
@@ -165,10 +166,10 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
     # (x, y) -> a x - s y is the first row on the left; MatrixOverPol is square, hence the zero row
     zero = a.algebra.zero()
     op = _restricted_operator(MatrixOverPol(a.algebra, [[a, -s], [zero, zero]]), dec)
-    kernel = exactla.nullspace_basis(op.matrix)
+    kernel = exactla.nullspace_basis(op.matrix, limit=None if prefer_ore else 1)
     if not kernel:
         raise RuntimeError("column surplus did not produce a kernel; backend broken")
-    for vec in kernel if prefer_ore else kernel[:1]:
+    for vec in kernel:
         t, b = op.elements_from_coords(vec)
         if not t.is_zero():
             break

@@ -182,6 +182,17 @@ def test_float_rank_asks_for_no_singular_vectors(monkeypatch):
     assert calls == [False, True]
 
 
+def test_limit_slices_the_float_basis_and_rejects_negatives():
+    empty = ScalarMatrix(FLOAT, (2, 3))
+    full = nullspace_basis(empty)
+    for k in (0, 2, 5):
+        got = nullspace_basis(empty, limit=k)
+        assert len(got) == min(k, 3)
+        assert all(np.array_equal(v, w) for v, w in zip(got, full))
+    with pytest.raises(ValueError):
+        nullspace_basis(exact_matrix([[1, 1]]), limit=-1)
+
+
 def test_float_rank_stable_under_small_noise():
     rng = np.random.default_rng(7)
     base = rng.standard_normal((8, 6)) @ np.diag([1, 1, 1, 1, 0, 0]) \
@@ -381,6 +392,8 @@ def test_exact_routes_agree_with_independent_references(rows):
     assert rank_nullity(M) == (rank, cols - rank)
     basis = nullspace_basis(M)
     assert basis == _fraction_free_kernel(M)
+    for k in (0, 1, cols):
+        assert nullspace_basis(M, limit=k) == basis[:k]
     real = all(not x.im for row in rows for x in row)
     reduced = exactla._rref(M)
     assert reduced == _sympy_gauss_jordan(M)

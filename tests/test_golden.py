@@ -49,6 +49,8 @@ def _inputs() -> dict:
                                            (1, 0, 0): -1, (0, 1, 0): Fraction(2, 5)}),
         "heis_x": AHEIS.group_element({(1, 0, 0): 1}),
         "heis_y": AHEIS.group_element({(0, 1, 0): 1}),
+        "heis_ore_a": AHEIS.group_element({(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): 1}),
+        "heis_ore_s": AHEIS.group_element({(0, 0, 0): 1, (1, 0, 0): 1}),
         "zd": AZXZ2.group_element({(0, 0): 1, (0, 1): -1}),
         "zd_x": AZXZ2.group_element({(1, 0): 1}),
         "zd_s": AZXZ2.group_element({(0, 0): 1, (0, 1): 1}),
@@ -86,6 +88,8 @@ CLI_CASES = {
                    "--max-radius", "10"],
     "ore_pair_zero_divisor": ["ore-pair", "--a", "{zd_x}", "--s", "{zd_s}",
                               "--max-radius", "4"],
+    "ore_pair_heisenberg": ["ore-pair", "--a", "{heis_ore_a}", "--s", "{heis_ore_s}",
+                            "--max-radius", "8"],
     "ore_pair_exhaustion": ["ore-pair", "--a", "{heis_x}", "--s", "{heis_y}",
                             "--max-radius", "1"],
     "tower_z": ["tower", "--matrix", "{omg}", "--moduli", "3,9,27",
