@@ -30,6 +30,12 @@ singular-value threshold). The exact check runs on the vector's support
 only, through a column index of M built once per call, before the vector is
 spread into a dense list. All paths are deterministic, so identical inputs
 give bit-identical outputs.
+
+Every float-mode zero decision in the library follows one rule: a value is
+zero when it is small relative to the size of the inputs that produced it,
+never against an absolute scale. Here that size is ||M||; polalg trims a
+product against its factors and the solvers re-check a certificate against
+its elements.
 """
 
 from __future__ import annotations

@@ -12,6 +12,10 @@ families implement multiplication:
 * su2              -- products of matrix coefficients expanded with real
                       orthonormal Clebsch-Gordan coefficients; complex doubles.
 
+A float product drops its roundoff debris relative to its factors: a term of
+a b at most FLOAT_TRIM |a| |b| is dropped, |x| the largest coefficient
+modulus of x, so scaling a factor never changes which terms survive.
+
 The L2 inner product uses the orthonormal basis {sqrt(n_a) u^a_{ij}} and the
 Haar state reads off the coefficient of the trivial corepresentation.
 
@@ -33,7 +37,7 @@ from .fusion import (BoundaryData, FusionRing, GroupFusionRing, InvalidLabelErro
                      ring_from_tag)
 from .scalars import EXACT, FLOAT, as_scalar, scalar_zero
 
-FLOAT_TRIM = 1e-13  # relative cutoff for roundoff debris in float products
+FLOAT_TRIM = 1e-13  # cutoff for roundoff debris, relative to the factors' sizes
 
 
 class AlgebraError(ValueError):
@@ -136,7 +140,7 @@ class PolAlgebra:
             c = sum((ug * fg for ug, fg in zip(u, f)), 0j) * self.ring._dim(key[0]) / 6.0
             if c:
                 out[key] = c
-        return AlgebraElement._trusted(self, _trim_float(out))
+        return AlgebraElement._trusted(self, _trim_float(out, a, b))
 
     def _su2_multiply(self, a, b):
         out = {}
@@ -155,7 +159,7 @@ class PolAlgebra:
                     if w:
                         key = (lc, p + 1, q + 1)
                         out[key] = out.get(key, 0j) + pre * w
-        return AlgebraElement._trusted(self, _trim_float(out))
+        return AlgebraElement._trusted(self, _trim_float(out, a, b))
 
     # -- involution ------------------------------------------------------------
 
@@ -181,16 +185,19 @@ class PolAlgebra:
         return f"<PolAlgebra {self.tag} ({self.mode})>"
 
 
-def _trim_float(coeffs: dict) -> dict:
+def _trim_float(coeffs: dict, *factors) -> dict:
+    """``coeffs``, a float product of ``factors``, without its roundoff debris:
+    the terms at most FLOAT_TRIM times the product of the factors' norm_max."""
     if not coeffs:
         return coeffs
     try:
         sizes = [abs(v) for v in coeffs.values()]
+        scale = math.prod(x.norm_max() for x in factors)
     except OverflowError:  # a finite coefficient whose modulus overflows
-        sizes = [math.inf]
-    if not all(map(math.isfinite, sizes)):
+        sizes, scale = [], math.inf
+    if not all(map(math.isfinite, [scale, *sizes])):
         raise AlgebraError("float product overflowed: a coefficient or its modulus is not finite")
-    cutoff = FLOAT_TRIM * max(1.0, max(sizes))
+    cutoff = FLOAT_TRIM * scale
     return {k: v for (k, v), size in zip(coeffs.items(), sizes) if size > cutoff}
 
 

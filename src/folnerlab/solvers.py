@@ -14,9 +14,14 @@
   rows in weighted counts and therefore a nonzero kernel. Only the first
   kernel vector is built. If it has t = 0, then s b = 0 with b != 0 is
   itself a zero-divisor certificate and is returned instead (pass
-  prefer_ore=True to build and scan the whole kernel basis for a usable t
-  first). Every returned object is re-verified by a full multiplication,
-  exactly in exact mode.
+  prefer_ore=True to build, in that case only, the whole kernel basis and
+  scan it for a usable t first).
+
+Every returned object is re-verified by a full multiplication, exactly in
+exact mode. In float mode "zero" is relative to the inputs: |a w| <= tol
+|a| |w| for a witness w of a, |a t - s b| <= tol (|a| + |s|) (|t| + |b|)
+for an Ore pair, with tol = exactla.DEFAULT_FLOAT_TOL and |x| the largest
+coefficient modulus of x, so scaling an input changes no answer.
 
 Left multiplications use the left-sided interior throughout; on commutative
 providers it coincides with the right one.
@@ -35,14 +40,15 @@ from .reldim import DimensionEstimate, _estimate
 from .scalars import EXACT
 from .serialize import Report
 
-FLOAT_ZERO_TOL = 1e-9
 
-
-def _vanishes(x: AlgebraElement) -> bool:
-    """x = 0: exactly in exact mode, up to FLOAT_ZERO_TOL in float mode."""
+def _vanishes(x: AlgebraElement, left: tuple, right: tuple) -> bool:
+    """x = 0, for x a signed sum of products l r with l in ``left`` and r in
+    ``right``: exactly in exact mode; in float mode up to DEFAULT_FLOAT_TOL
+    times (sum of |l|) (sum of |r|), |y| being y.norm_max()."""
     if x.algebra.mode == EXACT:
         return x.is_zero()
-    return x.norm_max() < FLOAT_ZERO_TOL
+    size = sum(map(AlgebraElement.norm_max, left)) * sum(map(AlgebraElement.norm_max, right))
+    return x.norm_max() <= exactla.DEFAULT_FLOAT_TOL * size
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ class ZeroDivisorCertificate(Report):
 
     def product_is_zero(self) -> bool:
         a, b = self.a, self.witness
-        return _vanishes(a * b if self.side == "left" else b * a)
+        return _vanishes(a * b if self.side == "left" else b * a, (a,), (b,))
 
     def to_json(self) -> dict:
         return {**super().to_json(), "ring": self.a.algebra.tag,
@@ -82,9 +88,12 @@ class OrePair(Report):
     def residual(self) -> AlgebraElement:
         return self.a * self.t - self.s * self.b
 
+    def residual_is_zero(self) -> bool:
+        return _vanishes(self.residual(), (self.a, self.s), (self.t, self.b))
+
     def to_json(self) -> dict:
         return {**super().to_json(), "ring": self.a.algebra.tag,
-                "residual_zero": _vanishes(self.residual())}
+                "residual_zero": self.residual_is_zero()}
 
 
 def _zero_divisor_certificate(a: AlgebraElement, witness: AlgebraElement, side: str,
@@ -166,19 +175,22 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
     # (x, y) -> a x - s y is the first row on the left; MatrixOverPol is square, hence the zero row
     zero = a.algebra.zero()
     op = _restricted_operator(MatrixOverPol(a.algebra, [[a, -s], [zero, zero]]), dec)
-    kernel = exactla.nullspace_basis(op.matrix, limit=None if prefer_ore else 1)
+    kernel = exactla.nullspace_basis(op.matrix, limit=1)
     if not kernel:
         raise RuntimeError("column surplus did not produce a kernel; backend broken")
-    for vec in kernel:
-        t, b = op.elements_from_coords(vec)
-        if not t.is_zero():
-            break
-    else:
+    t, b = op.elements_from_coords(kernel[0])
+    if t.is_zero() and prefer_ore:
+        # only now the whole basis, scanned past its first vector for a usable t
+        for vec in exactla.nullspace_basis(op.matrix)[1:]:
+            t, b = op.elements_from_coords(vec)
+            if not t.is_zero():
+                break
+    if t.is_zero():
         # t = 0 forces s b = 0 with b != 0, an explicit certificate that s
         # is a zero divisor (impossible when the algebra is a domain)
         return _zero_divisor_certificate(s, b, "left", op.window, radius)
     pair = OrePair(a=a, s=s, t=t, b=b, window=op.window, radius=radius)
-    if not _vanishes(pair.residual()):
+    if not pair.residual_is_zero():
         raise RuntimeError("ore pair failed residual verification")
     return pair
 

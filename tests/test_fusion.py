@@ -428,10 +428,27 @@ def test_profile_tests_only_the_shell(monkeypatch):
     assert 0 < len(calls) <= 2 * len(S) * shell_labels
 
 
+@pytest.mark.parametrize("tag", ["group:Q", "S3", "group:heisenberg/x", "group:Z^0",
+                                 "group:Z^x", "group:ZxQ"])
+def test_bad_ring_tag_is_rejected(tag):
+    with pytest.raises(ValueError, match="tag"):
+        ring_from_tag(tag)
+
+
+@pytest.mark.parametrize("alias, tag", [("group:ZxZ", "group:Z^2"),
+                                        ("group:ZxZxZ", "group:Z^3")])
+def test_alias_tag_resolves_to_the_shared_ring(alias, tag):
+    ring = ring_from_tag(alias)
+    assert ring is ring_from_tag(tag) and ring.tag == tag
+    assert ring_from_tag(alias) is ring
+
+
 # ---------------------------------------------------------------------------
 # ball
 
 def test_ball_examples():
+    with pytest.raises(ValueError, match="radius"):
+        ball(Z, [1], -1)
     assert ball(SU2, [5, 2], 0) == frozenset({0})
     assert ball(SU2, [1], 3) == frozenset({0, 1, 2, 3})
     assert ball(Z, [1], 2) == frozenset(range(-2, 3))

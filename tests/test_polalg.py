@@ -193,6 +193,17 @@ def test_float_product_overflow_is_rejected():
     assert _trim_float({0: 1 + 0j, 1: 1e-20 + 0j}) == {0: 1 + 0j}
 
 
+def test_float_trim_is_relative_to_the_factors():
+    from folnerlab.polalg import _trim_float
+
+    tiny, big = ASU2.element({1: 1e-20}), ASU2.element({1: 1e200})
+    # the debris of a product of tiny factors is tinier still, and only it drops
+    assert _trim_float({0: 1e-40 + 0j, 1: 1e-60 + 0j}, tiny, tiny) == {0: 1e-40 + 0j}
+    # finite terms against factors whose sizes multiply past the float range
+    with pytest.raises(AlgebraError, match="not finite"):
+        _trim_float({0: 1 + 0j}, big, big)
+
+
 # ---------------------------------------------------------------------------
 # inner product and Haar state
 

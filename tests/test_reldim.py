@@ -450,6 +450,8 @@ def test_sandwich_contains_true_dimension(rng):
             for F in windows:
                 est = kernel_dim_estimate(T, F)
                 assert est.lower <= true_dim <= est.upper
+                assert est.contains(true_dim)
+                assert not est.contains(est.lower - 1) and not est.contains(est.upper + 1)
 
 
 def test_full_window_estimate_equals_oracle(rng):

@@ -180,6 +180,18 @@ def test_cli_profile_json_and_csv(capsys, tmp_path):
     assert lines[2].split(",")[4] == "4/3"
 
 
+@pytest.mark.parametrize("argv, short, S", [
+    (["profile", "--ring", "group:Z^2", "--max-radius", "3"], "[1,0]", [[1, 0]]),
+    (["folner", "--ring", "finite:S3", "--epsilon", "1/10"], "std", ["std"]),
+], ids=["tuple-label", "bare-s3-string"])
+def test_cli_short_label_forms(capsys, argv, short, S):
+    # a single tuple label, and an S3 label without its JSON quotes, read as
+    # the one-label list spelled out in JSON
+    code, out = run_cli(capsys, argv + ["--S", short])
+    assert code == 0 and out["S"] == S
+    assert (code, out) == run_cli(capsys, argv + ["--S", json.dumps(S)])
+
+
 def test_cli_kernel_dim_laplacian(capsys, tmp_path):
     lap = AZ.group_element({-1: -1, 0: 2, 1: -1})
     path = write(tmp_path, "lap.json", MatrixOverPol.from_element(lap))

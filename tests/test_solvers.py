@@ -244,6 +244,66 @@ def test_ore_on_non_domain_still_verifies():
         assert out2.residual().is_zero()
 
 
+def _spy_nullspace_basis(monkeypatch):
+    """(limit, number of vectors returned) for each nullspace_basis call."""
+    from folnerlab import exactla
+
+    calls, real = [], exactla.nullspace_basis
+
+    def spy(M, *, limit=None):
+        basis = real(M, limit=limit)
+        calls.append((limit, len(basis)))
+        return basis
+
+    monkeypatch.setattr(exactla, "nullspace_basis", spy)
+    return calls
+
+
+@pytest.mark.parametrize("prefer_ore", [False, True])
+def test_ore_asks_for_one_kernel_vector(monkeypatch, prefer_ore):
+    # the first vector has t != 0, so prefer_ore has nothing to scan
+    calls = _spy_nullspace_basis(monkeypatch)
+    one = AHEIS.one()
+    x = AHEIS.group_element((1, 0, 0))
+    y = AHEIS.group_element((0, 1, 0))
+    pair = ore_pair(one - x + y, one + x, prefer_ore=prefer_ore)
+    assert isinstance(pair, OrePair) and pair.residual().is_zero()
+    assert calls == [(1, 1)]
+
+
+# ore_pair(x, 1 + t, max_radius=4, prefer_ore=True) on ZxZ/2, pinned byte for
+# byte: t = x^-1 (1 + t) and b = 1
+_ZXZ2_PREFERRED_ORE = "".join([
+    '{"a":{"algebra":"group:ZxZ/2","mode":"exact","terms":[{"col":1,"im":"0",',
+    '"irrep":[1,0],"re":"1","row":1}]},"b":{"algebra":"group:ZxZ/2","mode":"exact",',
+    '"terms":[{"col":1,"im":"0","irrep":[0,0],"re":"1","row":1}]},"radius":2,',
+    '"residual_zero":true,"ring":"group:ZxZ/2","s":{"algebra":"group:ZxZ/2",',
+    '"mode":"exact","terms":[{"col":1,"im":"0","irrep":[0,0],"re":"1","row":1},',
+    '{"col":1,"im":"0","irrep":[0,1],"re":"1","row":1}]},"t":{"algebra":"group:ZxZ/2",',
+    '"mode":"exact","terms":[{"col":1,"im":"0","irrep":[-1,0],"re":"1","row":1},',
+    '{"col":1,"im":"0","irrep":[-1,1],"re":"1","row":1}]},',
+    '"window":[[-2,0],[-1,0],[-1,1],[0,0],[0,1],[1,0],[1,1],[2,0]]}\n',
+])
+
+
+def test_prefer_ore_scans_the_basis_only_when_the_first_t_is_zero(monkeypatch):
+    # s = 1 + t is a zero divisor on ZxZ/2, and the first kernel vector has
+    # t = 0: by default that is the answer, while prefer_ore builds the
+    # whole basis of 4 and finds a usable t further on
+    from folnerlab.serialize import canonical_dumps
+
+    calls = _spy_nullspace_basis(monkeypatch)
+    a = AZXZ2.group_element((1, 0))
+    s = AZXZ2.one() + AZXZ2.group_element((0, 1))
+    cert = ore_pair(a, s, max_radius=4)
+    assert isinstance(cert, ZeroDivisorCertificate) and cert.product_is_zero()
+    assert calls == [(1, 1)]
+    calls.clear()
+    pair = ore_pair(a, s, max_radius=4, prefer_ore=True)
+    assert calls == [(1, 1), (None, 4)]
+    assert canonical_dumps(pair.to_json()) == _ZXZ2_PREFERRED_ORE
+
+
 def test_ore_exhaustion_report():
     one = AHEIS.one()
     x = AHEIS.group_element((1, 0, 0))
@@ -318,6 +378,51 @@ def test_ore_s3_float():
     assert isinstance(pair, OrePair)
     assert not pair.t.is_zero()
     assert (a * pair.t - s * pair.b).norm_max() < 1e-9
+    assert pair.to_json()["residual_zero"] is True
+
+
+# float "zero" is judged against the size of the inputs, so scaling an
+# input by a nonzero constant changes no answer
+
+U = ASU2.basis(1, 1, 1)
+
+SCALED_ANSWERS = {
+    # Pol(SU(2)) is a domain
+    "su2-square": lambda: not (U.scale(1e-10) * U.scale(1e-10)).is_zero(),
+    "su2-zero-divisor": lambda: isinstance(
+        zero_divisor_search(U.scale(1e-14), max_radius=1), NotFoundReport),
+    "su2-certificate": lambda: ZeroDivisorCertificate(
+        a=U.scale(1e-14), witness=U, side="left", window=(), radius=0
+    ).product_is_zero() is False,
+    # the dimension of the kernel of a unit is 0
+    "su2-bracket": lambda: kernel_dim_estimate(
+        MatrixOverPol.from_element(ASU2.one().scale(1e-14)), range(6)).contains(0),
+    "s3-unit-zero-divisor": lambda: isinstance(
+        zero_divisor_search(AS3.one().scale(1e-14), max_radius=1), NotFoundReport),
+    "s3-unit-mvn": lambda: exact_mvn_dim_finite(
+        MatrixOverPol.from_element(AS3.one().scale(1e-14))) == 0,
+    "su2-ore": lambda: ore_pair(U.scale(1e7), ASU2.basis(1, 2, 2),
+                                max_radius=4).to_json()["residual_zero"] is True,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALED_ANSWERS))
+def test_float_answers_survive_scaling(case):
+    assert SCALED_ANSWERS[case]()
+
+
+@pytest.mark.parametrize("c", [1e-14, 1.0, 1e9])
+def test_s3_zero_divisor_certified_at_every_scale(c):
+    a = (AS3.basis("triv") + AS3.basis("sgn")).scale(c)
+    cert = zero_divisor_search(a, max_radius=2)
+    assert isinstance(cert, ZeroDivisorCertificate)
+    assert cert.to_json()["verified"] is True
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e7, 1e8])
+def test_ore_su2_verified_at_every_scale(c):
+    pair = ore_pair(U.scale(c), ASU2.basis(1, 2, 2), max_radius=4)
+    assert isinstance(pair, OrePair) and not pair.t.is_zero()
     assert pair.to_json()["residual_zero"] is True
 
 

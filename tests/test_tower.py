@@ -111,6 +111,47 @@ def test_tower_requires_divisibility_chain():
         group_quotient_tower(algebra_for("group:Z/4xZ/4"), [2, 3])
 
 
+def _refused_towers():
+    """Each entry check of QuotientMap, QuotientTower and
+    group_quotient_tower: one refused construction apiece, with the words of
+    the refusal."""
+    from folnerlab import QuotientMap, QuotientTower
+
+    A = algebra_for
+    return {
+        "non-group source": (lambda: QuotientMap(A("su2"), A("group:Z/2")),
+                             "group providers"),
+        "infinite target": (lambda: QuotientMap(AZ, AZ), "must be finite"),
+        "heisenberg/4 -> /3": (lambda: QuotientMap(A("group:heisenberg/4"),
+                                                   A("group:heisenberg/3")),
+                               "heisenberg/4 -> heisenberg/3"),
+        "factor counts": (lambda: QuotientMap(A("group:Z^2"), A("group:Z/2")),
+                          "factor counts differ"),
+        "mixed families": (lambda: QuotientMap(AHEIS, A("group:Z/2")), "families differ"),
+        "empty tower": (lambda: QuotientTower([]), "at least one level"),
+        "mixed source": (lambda: QuotientTower([QuotientMap(AZ, A("group:Z/2")),
+                                                QuotientMap(AZXZ2, A("group:Z/2xZ/2"))]),
+                         "one source"),
+        "modulus 1": (lambda: group_quotient_tower(AZ, [1, 2]), ">= 2"),
+        "modulus 0": (lambda: group_quotient_tower(AHEIS, [0]), ">= 2"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refused_towers()))
+def test_tower_entry_checks_refuse(case):
+    build, words = _refused_towers()[case]
+    with pytest.raises(AlgebraError, match=words):
+        build()
+
+
+def test_connecting_label_map_rejects_levels_out_of_range():
+    tower = group_quotient_tower(AZ, [3, 9])
+    assert tower.connecting_label_map(0, 1)(7) == 1
+    for i, j in ((1, 0), (-1, 0), (0, 2)):
+        with pytest.raises(IndexError, match="out of range"):
+            tower.connecting_label_map(i, j)
+
+
 def test_tower_composition_identity_on_omega():
     tower = group_quotient_tower(AZ, [3, 9, 27])
     omega = omega_set(AZ.ring, range(-5, 6), [0, 1])
