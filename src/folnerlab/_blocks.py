@@ -119,7 +119,7 @@ def kernel_dim(T) -> Fraction:
               for q, t in enumerate(row) for (g, _, _), c in t._coeffs.items()]
     gaussian = any(c.im for *_, c in coeffs)
     heisenberg = isinstance(ring, HeisenbergRing)
-    moduli = (ring.modulus,) if heisenberg else ring.moduli
+    moduli = ring.moduli
     L = lcm(*moduli, 4 if gaussian else 1)
     units = [u for u in range(1, L) if gcd(u, L) == 1 and (u % 4 == 1 or not gaussian)]
     # scaling T by a common denominator keeps every rank; c = re + im i is

@@ -184,7 +184,8 @@ class SU2FusionRing(FusionRing):
 
 class GroupFusionRing(FusionRing):
     """Group fusion ring: one 1-dimensional label per group element. A
-    subclass is its group: it sets ``name``, ``unit`` and ``is_finite`` and
+    subclass is its group: it sets ``name``, ``unit``, ``is_finite`` and
+    ``moduli`` (0 meaning Z), builds its finite quotients (``_quotient``) and
     provides ``normalize`` (type-exact) and the trusted ``_reduce``, ``_mul``,
     ``_inv`` and ``elements``, from which the ring operations derive."""
 
@@ -271,6 +272,10 @@ class CyclicProductRing(GroupFusionRing):
             out = [t + (x,) for t in out for x in range(m)]
         return [self._out(t) for t in out]
 
+    def _quotient(self, m: int) -> CyclicProductRing:
+        """The registered ring with every Z factor reduced mod m."""
+        return ring_from_tag("group:" + "x".join(f"Z/{ms or m}" for ms in self.moduli))
+
 
 class HeisenbergRing(GroupFusionRing):
     """H3 over Z (modulus 0) or over Z/m; normal form (a, b, c)."""
@@ -284,6 +289,10 @@ class HeisenbergRing(GroupFusionRing):
         self.is_finite = bool(modulus)
         self.name = f"heisenberg/{modulus}" if modulus else "heisenberg"
         super().__init__()
+
+    @property
+    def moduli(self) -> tuple[int]:
+        return (self.modulus,)
 
     def normalize(self, g):
         if not (isinstance(g, (tuple, list)) and len(g) == 3
@@ -311,6 +320,10 @@ class HeisenbergRing(GroupFusionRing):
             raise ValueError("heisenberg over Z is infinite")
         m = self.modulus
         return [(a, b, c) for a in range(m) for b in range(m) for c in range(m)]
+
+    def _quotient(self, m: int) -> HeisenbergRing:
+        """The registered ring of H3 reduced mod m; a finite one is its own."""
+        return ring_from_tag(f"group:heisenberg/{self.modulus or m}")
 
 
 class S3FusionRing(FusionRing):

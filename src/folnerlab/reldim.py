@@ -140,22 +140,19 @@ def _estimate(T: MatrixOverPol, dec: BoundaryData) -> DimensionEstimate:
         nullity=nullity, rank=rank, side=dec.side, degenerate=dec.interior_weight == 0)
 
 
-def exact_mvn_dim_finite(T: MatrixOverPol, side: str = "right") -> Fraction:
-    """Exact kernel dimension of multiplication by T on a finite provider.
-
-    On an exact group ring it is the weighted sum of the nullities of the
-    irreducible blocks of T, the same on both sides, and the full
-    multiplication operator is never built. On finite:S3 the SVD ranks the
-    full operator."""
+def exact_mvn_dim_finite(T: MatrixOverPol) -> Fraction:
+    """Exact kernel dimension of multiplication by T, the same on both sides,
+    on a finite provider: on an exact group ring the weighted sum of the
+    nullities of T's irreducible blocks, never building the full operator; on
+    finite:S3 an SVD of the full operator."""
     ring = T.algebra.ring
     if not ring.is_finite:
         raise AlgebraError(f"ring {ring.tag} is infinite; use kernel_dim_estimate")
-    if T.is_zero() and side in ("right", "left"):
+    if T.is_zero():
         return Fraction(T.n)
-    _check_operator(T, side)  # a bad side raises here, for a zero T too
     if T.algebra.mode == EXACT:
         return _blocks.kernel_dim(T)
-    op = full_mult_matrix(T, side=side)
+    op = full_mult_matrix(T)
     _, nullity = exactla.rank_nullity(op.matrix)
     # the columns span the whole coefficient space W^n of the finite ring
     return Fraction(nullity, op.matrix.shape[1] // T.n)

@@ -174,7 +174,10 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
 
     # (x, y) -> a x - s y is the first row on the left; MatrixOverPol is square, hence the zero row
     zero = a.algebra.zero()
-    op = _restricted_operator(MatrixOverPol(a.algebra, [[a, -s], [zero, zero]]), dec)
+    a_op, s_op = a, s
+    if a.algebra.mode != EXACT:  # one SVD threshold fits one scale: a/|a| t = s/|s| b'
+        a_op, s_op = a.scale(1 / a.norm_max()), s.scale(1 / s.norm_max())
+    op = _restricted_operator(MatrixOverPol(a.algebra, [[a_op, -s_op], [zero, zero]]), dec)
     kernel = exactla.nullspace_basis(op.matrix, limit=1)
     if not kernel:
         raise RuntimeError("column surplus did not produce a kernel; backend broken")
@@ -185,6 +188,8 @@ def ore_pair(a: AlgebraElement, s: AlgebraElement, max_radius: int = 16,
             t, b = op.elements_from_coords(vec)
             if not t.is_zero():
                 break
+    if a_op is not a:  # b = b' |a|/|s|
+        b = b.scale(a.norm_max() / s.norm_max())
     if t.is_zero():
         # t = 0 forces s b = 0 with b != 0, an explicit certificate that s
         # is a zero divisor (impossible when the algebra is a domain)

@@ -1,11 +1,11 @@
 """Quotient towers onto finite group providers and dimension approximation.
 
 A quotient map pushes a group provider onto a finite one of the same family
-by reducing normal forms with the target ring's ``_reduce``: a
-``CyclicProductRing`` onto one (Z^d onto (Z/m)^d, Z x Z/2 onto (Z/m) x Z/2),
-a ``HeisenbergRing`` onto Heisenberg mod m. A tower is an increasing chain
-of such maps whose moduli divide each other, so the connecting reductions
-exist and commute.
+by reducing normal forms with the target ring's ``_reduce``; the source ring
+builds each level (``_quotient``): Z^d onto (Z/m)^d, Z x Z/2 onto
+(Z/m) x Z/2, Heisenberg onto Heisenberg mod m. A tower is an increasing
+chain of such maps whose moduli divide each other, so the connecting
+reductions exist and commute.
 
 The map is injective on a finite label set F when F pushes forward without
 collisions. On the omega set
@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fusion import (CyclicProductRing, GroupFusionRing, HeisenbergRing, LabelSet,
-                     boundary_decomposition, weighted_size)
+from .fusion import GroupFusionRing, LabelSet, boundary_decomposition, weighted_size
 from .polalg import (AlgebraElement, AlgebraError, MatrixOverPol, algebra_for)
 from .reldim import (DimensionEstimate, _estimate, _require_conj_closed,
                      exact_mvn_dim_finite)
@@ -76,19 +75,13 @@ class QuotientMap:
 
 
 def _check_reduction_compatible(sring, tring):
-    if isinstance(sring, HeisenbergRing) and isinstance(tring, HeisenbergRing):
-        if sring.modulus and tring.modulus and sring.modulus % tring.modulus:
-            raise AlgebraError(
-                f"no reduction heisenberg/{sring.modulus} -> heisenberg/{tring.modulus}")
-        return
-    if isinstance(sring, CyclicProductRing) and isinstance(tring, CyclicProductRing):
-        if len(sring.moduli) != len(tring.moduli):
-            raise AlgebraError("factor counts differ")
-        for ms, mt in zip(sring.moduli, tring.moduli):
-            if mt == 0 or (ms and ms % mt):
-                raise AlgebraError(f"no reduction of factor Z/{ms or 'Z'} -> Z/{mt}")
-        return
-    raise AlgebraError("source and target group families differ")
+    """Each target modulus is nonzero and divides its source modulus (0: Z)."""
+    if type(sring) is not type(tring):
+        raise AlgebraError("source and target group families differ")
+    if len(sring.moduli) != len(tring.moduli):
+        raise AlgebraError("factor counts differ")
+    if any(mt == 0 or ms % mt for ms, mt in zip(sring.moduli, tring.moduli)):
+        raise AlgebraError(f"no reduction {sring.name} -> {tring.name}")
 
 
 class QuotientTower:
@@ -129,15 +122,8 @@ def group_quotient_tower(source, moduli) -> QuotientTower:
     moduli = [int(m) for m in moduli]
     if any(m < 2 for m in moduli):
         raise AlgebraError("moduli must be >= 2")
-    maps = []
-    for m in moduli:
-        if isinstance(ring, HeisenbergRing):
-            tag = f"group:heisenberg/{m}"
-        else:
-            tag = "group:" + "x".join(
-                f"Z/{m}" if ms == 0 else f"Z/{ms}" for ms in ring.moduli)
-        maps.append(QuotientMap(algebra, algebra_for(tag)))
-    return QuotientTower(maps)
+    return QuotientTower([QuotientMap(algebra, algebra_for(ring._quotient(m)))
+                          for m in moduli])
 
 
 def omega_set(ring, F, S) -> LabelSet:
@@ -217,7 +203,8 @@ class TowerReport(Report):
 
 def tower_kernel_dims(T: MatrixOverPol, tower: QuotientTower, F,
                       side: str = "right") -> TowerReport:
-    """Per-level exact quotient kernel dimensions with all transport checks."""
+    """Per-level exact quotient kernel dimensions with all transport checks;
+    ``side`` sets the bracket and the level boundaries."""
     if T.is_zero():
         raise AlgebraError("tower approximation needs a nonzero matrix")
     if T.algebra is not tower.source:
@@ -234,30 +221,27 @@ def tower_kernel_dims(T: MatrixOverPol, tower: QuotientTower, F,
         omega_i = qmap.push_set(omega)
         injective = len(omega_i) == len(omega)
         Ti = qmap.push_matrix(T)
-        qdim = exact_mvn_dim_finite(Ti, side=side)
-        if not injective:
-            return LevelReport(target=qmap.target.tag, omega_injective=False,
-                               quotient_dim=qdim, support_pushforward_ok=None,
-                               boundary_pushforward_ok=None, weighted_sizes_ok=None,
-                               transport_ok=None, transport_gap=None)
-        tring = qmap.target.ring
-        Fi, Si, bd_i = (qmap.push_set(E) for E in (F, S, dec.boundary))
-        supp_ok = Ti.support() == Si
-        dec_i = boundary_decomposition(tring, Fi, Si, side=side)
-        bd_ok = bd_i == dec_i.boundary
-        sizes_ok = all(
-            weighted_size(tring, Ei) == weighted_size(ring, E)
-            for E, Ei in ((F, Fi), (S, Si), (dec.boundary, bd_i), (omega, omega_i)))
-        gap = abs(estimate.lower - qdim)
-        transport_ok = gap <= bound
-        if not (supp_ok and bd_ok and sizes_ok and transport_ok):
-            raise RuntimeError(
-                f"transport identities failed at level {qmap.target.tag}: "
-                f"supp={supp_ok} bd={bd_ok} sizes={sizes_ok} transport={transport_ok}")
-        return LevelReport(target=qmap.target.tag, omega_injective=True,
-                           quotient_dim=qdim, support_pushforward_ok=supp_ok,
-                           boundary_pushforward_ok=bd_ok, weighted_sizes_ok=sizes_ok,
-                           transport_ok=transport_ok, transport_gap=gap)
+        qdim = exact_mvn_dim_finite(Ti)
+        ok = gap = None
+        if injective:
+            tring = qmap.target.ring
+            Fi, Si, bd_i = (qmap.push_set(E) for E in (F, S, dec.boundary))
+            supp_ok = Ti.support() == Si
+            bd_ok = bd_i == boundary_decomposition(tring, Fi, Si, side=side).boundary
+            sizes_ok = all(
+                weighted_size(tring, Ei) == weighted_size(ring, E)
+                for E, Ei in ((F, Fi), (S, Si), (dec.boundary, bd_i), (omega, omega_i)))
+            gap = abs(estimate.lower - qdim)
+            transport_ok = gap <= bound
+            if not (supp_ok and bd_ok and sizes_ok and transport_ok):
+                raise RuntimeError(
+                    f"transport identities failed at level {qmap.target.tag}: "
+                    f"supp={supp_ok} bd={bd_ok} sizes={sizes_ok} transport={transport_ok}")
+            ok = True
+        return LevelReport(target=qmap.target.tag, omega_injective=injective,
+                           quotient_dim=qdim, support_pushforward_ok=ok,
+                           boundary_pushforward_ok=ok, weighted_sizes_ok=ok,
+                           transport_ok=ok, transport_gap=gap)
 
     return TowerReport(ring=ring.tag, window=estimate.window,
                        omega=ring.sorted_labels(omega),

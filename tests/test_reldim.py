@@ -206,12 +206,10 @@ def test_finite_dimension_decomposes_no_window(monkeypatch):
     assert exact_mvn_dim_finite(MatrixOverPol.from_element(p)) == Fraction(1, 16)
     # 1 + sgn vanishes on the three odd permutations
     one_plus_sgn = AS3.one() + AS3.basis("sgn")
-    assert exact_mvn_dim_finite(MatrixOverPol.from_element(one_plus_sgn),
-                                side="left") == Fraction(1, 2)
+    assert exact_mvn_dim_finite(MatrixOverPol.from_element(one_plus_sgn)) == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("side", ["right", "left"])
-def test_finite_group_ring_dimension_never_builds_the_full_operator(monkeypatch, side):
+def test_finite_group_ring_dimension_never_builds_the_full_operator(monkeypatch):
     # exact group rings go through their irreducible blocks; every matrix
     # ranked is a realified block, far smaller than the |G| x |G| operator
     import folnerlab.exactla
@@ -241,7 +239,7 @@ def test_finite_group_ring_dimension_never_builds_the_full_operator(monkeypatch,
                  algebra_for("group:Z/8xZ/4").group_element(
                      {(0, 0): (1, 1), (1, 2): (-1, -1)})), Fraction(1, 8))]
     for T, dim in cases:
-        assert exact_mvn_dim_finite(T, side=side) == dim
+        assert exact_mvn_dim_finite(T) == dim
     assert shapes and max(cols for _, cols in shapes) <= 2 * 6 * 2  # n d phi(6)
 
 
@@ -349,10 +347,9 @@ def test_mvn_gaussian_input_keeps_conjugate_characters_apart():
         for side in ("right", "left"):
             _, nullity = rank_nullity(full_mult_matrix(T, side=side).matrix)
             assert nullity == 1
-            assert exact_mvn_dim_finite(T, side=side) == Fraction(1, 4)
+        assert exact_mvn_dim_finite(T) == Fraction(1, 4)
 
 
-@pytest.mark.parametrize("side", ["right", "left"])
 @pytest.mark.parametrize("tag, terms, blocks", [
     ("group:heisenberg/4", {(0, 0, 0): 5, (1, 0, 0): -2, (0, 1, 0): -3},
      {(1, 4): 10, (2, 4): 4, (4, 4): 1}),
@@ -361,7 +358,7 @@ def test_mvn_gaussian_input_keeps_conjugate_characters_apart():
     ("group:heisenberg/3", {(0, 0, 0): 5, (1, 0, 0): -2, (0, 1, 0): (0, -3)},
      {(1, 12): 5, (3, 12): 1}),
 ])
-def test_finite_dim_ranks_one_block_per_galois_orbit(monkeypatch, side, tag, terms, blocks):
+def test_finite_dim_ranks_one_block_per_galois_orbit(monkeypatch, tag, terms, blocks):
     # {(block size, L): count}: the orbits of the units mod L (u = 1 mod 4,
     # L a multiple of 4, for Gaussian coefficients) on the irreducibles,
     # one ranked block each
@@ -375,7 +372,7 @@ def test_finite_dim_ranks_one_block_per_galois_orbit(monkeypatch, side, tag, ter
         return block_nullity(cells, size, L)
 
     monkeypatch.setattr(_blocks, "_block_nullity", recording)
-    exact_mvn_dim_finite(MatrixOverPol.from_element(algebra_for(tag).element(terms)), side=side)
+    exact_mvn_dim_finite(MatrixOverPol.from_element(algebra_for(tag).element(terms)))
     assert ranked == blocks
 
 
@@ -403,26 +400,23 @@ def test_mvn_deeper_levels_are_pinned(tag):
     # each checked once against the Gauss-Jordan RREF of the 4096 x 4096
     # operator, which took 29 s (heisenberg/16) and 41 min ((Z/64)^2) on a
     # 2-core Xeon; the blocks take milliseconds
-    assert exact_mvn_dim_finite(_deep_level(tag), side="left") == Fraction(1, 4096)
+    assert exact_mvn_dim_finite(_deep_level(tag)) == Fraction(1, 4096)
 
 
 def test_mvn_s3_unit_invertible():
     assert exact_mvn_dim_finite(MatrixOverPol.from_element(AS3.one())) == 0
 
 
+@pytest.mark.parametrize("algebra", [AZMOD2, AS3], ids=lambda A: A.tag)
+def test_mvn_of_the_zero_matrix_is_n(algebra):
+    zero = algebra.zero()
+    assert exact_mvn_dim_finite(MatrixOverPol.from_element(zero)) == 1
+    assert exact_mvn_dim_finite(MatrixOverPol(algebra, [[zero, zero]] * 2)) == 2
+
+
 def test_mvn_rejects_infinite_provider():
     with pytest.raises(AlgebraError):
         exact_mvn_dim_finite(MatrixOverPol.from_element(AZ.one()))
-
-
-@pytest.mark.parametrize("algebra", [AZMOD2, AS3], ids=lambda A: A.tag)
-def test_mvn_checks_the_side_before_the_zero_shortcut(algebra):
-    zero = MatrixOverPol.from_element(algebra.zero())
-    assert exact_mvn_dim_finite(zero) == 1
-    with pytest.raises(AlgebraError, match="side"):
-        exact_mvn_dim_finite(zero, side="up")
-    with pytest.raises(AlgebraError, match="side"):
-        exact_mvn_dim_finite(MatrixOverPol.from_element(algebra.one()), side="up")
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +591,49 @@ def test_brackets_and_towers_hold_the_exact_dimension_on_Z_d(case):
     assert qdims == sorted(qdims, reverse=True), qdims
 
 
+def _heisenberg_cases():
+    """{case: (T, rank_D(T), its level dimension on heisenberg/m)}.
+
+    With x = (1, 0, 0), y = (0, 1, 0) and z = (0, 0, 1), the group law gives
+    x y x^-1 = y z with z central, so Q(i)[H] is the skew Laurent ring
+    K[x^+-1; sigma] over K = Q(i)(y, z), sigma(y) = y z, sigma(z) = z. It is
+    an Ore domain, D its division ring of fractions, and the Murray-von
+    Neumann kernel dimension of T is n - rank_D(T), on both sides:
+
+    * [[1-x, 1-x], [1-y, 1-y]]: two equal columns and an entry 1-x != 0, so
+      rank_D 1;
+    * [[1, y], [x, xy]]: row 2 is x times row 1, so rank_D 1;
+    * [[1, y], [x, yx]]: row 2 minus x times row 1 is (0, yx - xy) =
+      (0, yx (1 - z)), nonzero in a domain, beside the pivot 1 of row 1, so
+      rank_D 2. Over Z^2, where yx = xy, the same matrix has rank 1."""
+    one = AHEIS.one()
+    x, y = AHEIS.group_element((1, 0, 0)), AHEIS.group_element((0, 1, 0))
+    return {
+        "equal columns": (MatrixOverPol(AHEIS, [[one - x, one - x], [one - y, one - y]]),
+                          1, lambda m: 1 + Fraction(1, m ** 3)),
+        "row times x": (MatrixOverPol(AHEIS, [[one, y], [x, x * y]]), 1, lambda m: Fraction(1)),
+        "commutator": (MatrixOverPol(AHEIS, [[one, y], [x, y * x]]), 2, lambda m: Fraction(1, m)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_heisenberg_cases()))
+def test_brackets_and_towers_hold_the_exact_dimension_on_heisenberg(case):
+    T, rank, level_dim = _heisenberg_cases()[case]
+    dim = T.n - rank
+    F = ball(AHEIS.ring, T.support(), 3)
+    for side in ("right", "left"):
+        est = kernel_dim_estimate(T, F, side=side)
+        assert est.lower <= dim <= est.upper, side
+    window = ball(AHEIS.ring, T.support(), 1)
+    for moduli in ([3], [2, 4, 8, 16]):
+        rep = tower_kernel_dims(T, group_quotient_tower(AHEIS, moduli), window)
+        qdims = [lv.quotient_dim for lv in rep.levels]
+        assert qdims == [level_dim(m) for m in moduli]
+    # the excess over the exact dimension does not grow along 2, 4, 8, 16
+    excess = [q - dim for q in qdims]
+    assert excess == sorted(excess, reverse=True), excess
+
+
 # ---------------------------------------------------------------------------
 # exact_mvn_dim_finite on finite quotients against independent references
 
@@ -650,7 +687,7 @@ def test_finite_dim_agrees_with_fraction_free_and_svd(family, data):
     M = full_mult_matrix(T, side=side).matrix
     nullity = M.shape[1] - _svd_rank(M)
     size = sum(ring.dim(u) ** 2 for u in ring.irreducibles())
-    assert exact_mvn_dim_finite(T, side=side) == Fraction(nullity, size)
+    assert exact_mvn_dim_finite(T) == Fraction(nullity, size)
     # S3 is a float ring: numpy's own rank cut-off only. The fraction-free
     # elimination of the full operator takes 0.4 s at 64 columns and over
     # 10 s at 216 (heisenberg/6), so from 64 columns on the SVD is the

@@ -247,6 +247,15 @@ def test_cli_ore_pair(capsys, tmp_path, tag, a, s, max_radius, expected_code, ki
     validate("ore_pair", out)
 
 
+def test_cli_ore_pair_refuses_a_and_s_in_different_algebras(capsys, tmp_path):
+    a = write(tmp_path, "a.json", AZ.group_element({0: 1, 1: 1}))
+    s = write(tmp_path, "s.json", algebra_for("group:Z^2").group_element({(0, 1): 1}))
+    assert main(["ore-pair", "--a", a, "--s", s]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a and s live in different algebras" in captured.err
+
+
 def test_cli_tower(capsys, tmp_path):
     path = write(tmp_path, "omg.json", AZ.group_element({0: 1, 1: -1}))
     code, out = run_cli(capsys, ["tower", "--matrix", path,

@@ -335,6 +335,11 @@ def test_ore_rejects_zero_inputs():
         ore_pair(AZ.one(), AZ.zero())
 
 
+def test_ore_rejects_a_and_s_in_different_algebras():
+    with pytest.raises(AlgebraError, match="a and s live in different algebras"):
+        ore_pair(AZ.group_element({0: 1, 1: 1}), AZ2.group_element((0, 1)))
+
+
 # ---------------------------------------------------------------------------
 # float providers: su2 and finite:S3 go through the SVD kernel, the float
 # two-component Ore operator and the tolerance checks of the certificates
@@ -419,9 +424,18 @@ def test_s3_zero_divisor_certified_at_every_scale(c):
     assert cert.to_json()["verified"] is True
 
 
-@pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e7, 1e8])
+@pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e7, 1e8, 1e9, 1e10, 1e12])
 def test_ore_su2_verified_at_every_scale(c):
     pair = ore_pair(U.scale(c), ASU2.basis(1, 2, 2), max_radius=4)
+    assert isinstance(pair, OrePair) and not pair.t.is_zero()
+    assert pair.to_json()["residual_zero"] is True
+
+
+@pytest.mark.parametrize("c", [1e-14, 1e-8, 1e8, 1e12])
+def test_ore_su2_verified_with_s_at_every_scale(c):
+    # one operator holds a and s; each is ranked at unit scale, so a small
+    # s is not cut off as noise beside a
+    pair = ore_pair(U, ASU2.basis(1, 2, 2).scale(c), max_radius=4)
     assert isinstance(pair, OrePair) and not pair.t.is_zero()
     assert pair.to_json()["residual_zero"] is True
 
