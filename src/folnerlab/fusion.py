@@ -20,9 +20,19 @@ One record, ``BoundaryData``, holds a window F and its boundary together
 with the S and the side (of multiplication: products u x v or v x u) they
 were built for; the interior is derived from them, and only on first read.
 The restricted operator and the kernel bracket of a window are built from
-the record alone.
-A ball window B_r is decomposed from its outer shell B_r \\ B_{r-1} alone
-(``ball_boundary``); any other window is decomposed in full.
+the record alone. Records come in two kinds:
+
+* ball records (``ball_boundary``): a ball window B_r is decomposed from its
+  outer shell B_r \\ B_{r-1} alone, and never sorted; profiles, Folner
+  searches and the zero-divisor and Ore loops read them. On a group ring
+  the operator's translate table is computed on first read, over the
+  interior only;
+* whole-window records (``boundary_decomposition``): every label of F is
+  tested. On a group ring the window is sorted and each translate x v
+  (v x on the left), x in F, v in S, is formed once, into the translate
+  table; the boundary is read off the translates that leave F, and the
+  operator copies T's coefficients to the table's rows without multiplying
+  again.
 
 Three provider families are built in:
 
@@ -426,7 +436,16 @@ class BoundaryData:
     The interior, the coboundary (the Frobenius reach ``reach()`` minus F,
     so it never meets the window), the symmetric boundary and its weight are
     computed on first read: the library reads no interior, kernel estimates
-    read no coboundary, Folner searches and profiles do."""
+    read no coboundary, Folner searches and profiles do.
+
+    ``order`` is F sorted, and on a group ring ``rows`` is the translate
+    table of the restricted operator: for each v in S, the row in ``order``
+    of x v (v x on the left) for each x of ``order``, None where no row is
+    known. The decomposition of a whole window fills both, and ``rows`` is
+    None exactly at the translates that leave F. Any other record sorts F
+    and computes the table on first read, for the labels outside the
+    boundary only, so a None there marks either a boundary label or a
+    translate that leaves F."""
 
     def __init__(self, S: LabelSet, side: str, window, boundary, reach):
         ring = S.ring
@@ -454,6 +473,28 @@ class BoundaryData:
     @cached_property
     def symmetric_boundary_weight(self) -> int:
         return self.boundary_weight + weighted_size(self.S.ring, self.coboundary)
+
+    @cached_property
+    def order(self) -> tuple:
+        return self.S.ring.sorted_labels(self.window)
+
+    @cached_property
+    def rows(self) -> dict:
+        boundary = self.boundary
+        return _translates(self.S.ring, self.order, self.S, self.side,
+                           [None if x in boundary else x for x in self.order])
+
+
+def _translates(ring: GroupFusionRing, order: tuple, S: Iterable, side: str,
+                labels: list) -> dict:
+    """{v: [the row in ``order`` of x v (v x on the left), None where it
+    is not in ``order``, for x in labels]} over v in S; a None label has a
+    None row and forms no product."""
+    row_of = {u: r for r, u in enumerate(order)}.get
+    mul = ring._mul
+    if side == "right":
+        return {v: [None if x is None else row_of(mul(x, v)) for x in labels] for v in S}
+    return {v: [None if x is None else row_of(mul(v, x)) for x in labels] for v in S}
 
 
 def weighted_size(ring: FusionRing, F: Iterable) -> int:
@@ -486,7 +527,7 @@ def boundary_decomposition(ring: FusionRing, F: Iterable, S: Iterable,
     Frobenius shortcut, so the infinite complement is never enumerated.
     """
     F = ring.label_set(F)
-    return _decompose(ring, F, F, S, side)
+    return _decompose(ring, F, None, S, side)
 
 
 def ball_boundary(ring: FusionRing, S: Iterable, radius: int,
@@ -504,10 +545,11 @@ def ball_boundary(ring: FusionRing, S: Iterable, radius: int,
     return _decompose(ring, F, shell, S, side)
 
 
-def _decompose(ring: FusionRing, F: LabelSet, edge: Iterable, S: Iterable,
+def _decompose(ring: FusionRing, F: LabelSet, shell, S: Iterable,
                side: str) -> BoundaryData:
-    """The decomposition of the checked window F, where every label of F
-    outside ``edge`` is interior and reaches no label outside F."""
+    """The decomposition of the checked window F: of all of it when
+    ``shell`` is None, else of ``shell`` alone, every label of F outside
+    which is interior and reaches no label outside F."""
     S = ring.label_set(S)
     if not S:
         raise ValueError("boundary decomposition needs a non-empty S")
@@ -518,8 +560,7 @@ def _decompose(ring: FusionRing, F: LabelSet, edge: Iterable, S: Iterable,
     else:
         def supp(u, v):
             return ring._support(v, u)
-
-    boundary = {u for u in edge if any(w not in F for v in S for w in supp(u, v))}
+    edge = F if shell is None else shell
 
     def reach():
         # Frobenius: u in bd_S(F^c) iff u not in F and some supp(u x v) meets
@@ -528,6 +569,16 @@ def _decompose(ring: FusionRing, F: LabelSet, edge: Iterable, S: Iterable,
         conj_S = [ring._conj(v) for v in S]
         return {u for w in edge for vb in conj_S for u in supp(w, vb)}
 
+    if shell is None and isinstance(ring, GroupFusionRing):
+        # one product per translate, kept for the operator; the boundary is
+        # the labels with a translate outside F
+        order = ring.sorted_labels(F)
+        rows = _translates(ring, order, S, side, order)
+        boundary = [x for x, *hits in zip(order, *rows.values()) if None in hits]
+        dec = BoundaryData(S, side, F, boundary, reach)
+        dec.order, dec.rows = order, rows
+        return dec
+    boundary = {u for u in edge if any(w not in F for v in S for w in supp(u, v))}
     return BoundaryData(S, side, F, boundary, reach)
 
 

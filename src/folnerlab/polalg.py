@@ -480,48 +480,46 @@ def restricted_mult_matrix(T: MatrixOverPol, F, side: str = "right",
 
 def _restricted_operator(T: MatrixOverPol, dec: BoundaryData) -> RestrictedOperator:
     """restricted_mult_matrix on the record ``dec``, over its S and on its
-    side; S must contain supp(T). The window is sorted here, once, and the
-    domain is the sorted window without the record's boundary."""
+    side; S must contain supp(T). The codomain is the record's sorted
+    ``order``, the domain that order without the record's boundary."""
     if not T.support() <= dec.S:
         raise AlgebraError("S must contain the support of T")
-    window = T.algebra.ring.sorted_labels(dec.window)
-    boundary = dec.boundary
-    return _operator_on(T, window, tuple(u for u in window if u not in boundary), dec.side)
-
-
-def _operator_on(T: MatrixOverPol, window: tuple, interior: tuple, side: str) -> RestrictedOperator:
-    """Multiplication by T from W_{interior}^n to W_{window}^n, on sorted labels."""
     algebra = T.algebra
     ring = algebra.ring
     n = T.n
+    window, boundary = dec.order, dec.boundary
+    positions = [p for p, u in enumerate(window) if u not in boundary]
+    interior = tuple(window[p] for p in positions)
     if isinstance(ring, GroupFusionRing):
         # one basis element per label; the entries are exact, and in range
         # and nonzero by construction: nothing to re-check
         matrix = exactla.ScalarMatrix(
             EXACT, (n * len(window), n * len(interior)),
-            entries=_translate_entries(T, side, interior, window))
+            entries=_translate_entries(T, dec, positions))
     else:
         domain_basis = _component_basis(ring, interior, n)
         codomain_basis = _component_basis(ring, window, n)
         matrix = exactla.ScalarMatrix.from_entries(
-            _multiply_entries(T, side, domain_basis, codomain_basis),
+            _multiply_entries(T, dec.side, domain_basis, codomain_basis),
             (len(codomain_basis), len(domain_basis)), algebra.mode)
-    return RestrictedOperator(algebra, n, side, window, interior, matrix)
+    return RestrictedOperator(algebra, n, dec.side, window, interior, matrix)
 
 
-def _escaped(label):
-    return RuntimeError(f"fusion inclusion violated: component {label!r} escaped F")
+def _escaped(what: str):
+    return RuntimeError(f"fusion inclusion violated: {what} escaped F")
 
 
-def _translate_entries(T, side, interior, window) -> dict:
+def _translate_entries(T, dec: BoundaryData, positions: list) -> dict:
     """Group rings: the image of the basis element x of component comp has,
     in output component k, the translate x supp(t) (supp(t) x on the left)
     of t = T[comp][k] (T[k][comp] on the left) as support, carrying t's
-    coefficients. Translation is injective, so entries are copied from t
-    and never summed: no scalar product is formed."""
-    mul = T.algebra.ring._mul
-    row_of = {label: r for r, label in enumerate(window)}
-    size = len(window)
+    coefficients. The columns are the labels at ``positions`` of the
+    record's order, and the row of each translate is read off its translate
+    table ``dec.rows``: no product is formed here. Translation is injective,
+    so entries are copied from t and never summed; a translate with no row
+    has left F."""
+    order, rows, side = dec.order, dec.rows, dec.side
+    size = len(order)
     entries = {}
     col = 0
     for comp in range(T.n):
@@ -530,14 +528,13 @@ def _translate_entries(T, side, interior, window) -> dict:
         for k in range(T.n):
             t = T.entries[comp][k] if side == "right" else T.entries[k][comp]
             if not t.is_zero():
-                blocks.append((k * size, [(h, c) for (h, _, _), c in t._coeffs.items()]))
-        for x in interior:
+                blocks.append((k * size, [(h, rows[h], c) for (h, _, _), c in t._coeffs.items()]))
+        for p in positions:
             for offset, terms in blocks:
-                for h, c in terms:
-                    w = mul(x, h) if side == "right" else mul(h, x)
-                    r = row_of.get(w)
+                for h, row_of, c in terms:
+                    r = row_of[p]
                     if r is None:
-                        raise _escaped(w)
+                        raise _escaped(f"the translate of {order[p]!r} by {h!r}")
                     entries[(offset + r, col)] = c
             col += 1
     return entries
@@ -561,7 +558,7 @@ def _multiply_entries(T, side, domain_basis, codomain_basis) -> dict:
             for (key, c) in prod._coeffs.items():
                 row = cod_index.get((out_comp, *key))
                 if row is None:
-                    raise _escaped(key[0])
+                    raise _escaped(f"component {key[0]!r}")
                 if algebra.mode == FLOAT:
                     c = c * math.sqrt(ring._dim(label) / ring._dim(key[0]))
                 prev = entries.get((row, col))
@@ -576,5 +573,5 @@ def full_mult_matrix(T: MatrixOverPol, side: str = "right") -> RestrictedOperato
         raise AlgebraError(f"ring {ring.tag} is infinite; use a window")
     _check_operator(T, side)
     # the whole ring is its own interior: nothing leaves it
-    labels = tuple(ring.irreducibles())
-    return _operator_on(T, labels, labels, side)
+    whole = BoundaryData(T.support(), side, LabelSet(ring, ring.irreducibles()), (), frozenset)
+    return _restricted_operator(T, whole)

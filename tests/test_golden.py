@@ -1,5 +1,6 @@
-"""Canonical JSON of every CLI subcommand, and of a Haar report, pinned byte
-for byte against the files in ``tests/golden/``.
+"""Canonical JSON of every CLI subcommand, of a Haar report and of kernel
+brackets over whole (non-ball) windows, pinned byte for byte against the
+files in ``tests/golden/``.
 
 Elements live in exact group-ring providers, and the rings without
 coefficients (su2, finite:S3) only enter searches with integer weights, so
@@ -21,8 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from folnerlab import (MatrixOverPol, algebra_for, dump_element,
-                       group_quotient_tower, haar_approx_sequence)
+from folnerlab import (MatrixOverPol, algebra_for, conjugation_closure, dump_element,
+                       group_quotient_tower, haar_approx_sequence, kernel_dim_estimate)
 from folnerlab.cli import main
 from folnerlab.serialize import canonical_dumps
 
@@ -103,7 +104,27 @@ CLI_CASES = {
                                 "--generators", "[[1,0,0],[0,1,0]]",
                                 "--limit", "1"],
 }
-CASES = sorted([*CLI_CASES, "haar_report"])
+CASES = sorted([*CLI_CASES, "haar_report", "kernel_dim_windows"])
+
+
+def _window_estimates() -> list:
+    """Kernel brackets over whole windows, which the CLI (ball windows only)
+    never builds: a 3-term Gaussian element on the N = 4 box of Z^2, and a
+    2x2 matrix with a zero block on a conjugation-closed Heisenberg window
+    that is no ball, each on both sides."""
+    AZ2 = algebra_for("group:Z^2")
+    AHEIS = algebra_for("group:heisenberg")
+    gauss = MatrixOverPol.from_element(AZ2.group_element(
+        {(0, 0): (Fraction(3, 2), Fraction(-1)), (1, 1): 2, (-1, 0): (0, Fraction(1, 3))}))
+    box = [(i, j) for i in range(-4, 5) for j in range(-4, 5)]
+    block = MatrixOverPol(AHEIS, [
+        [AHEIS.group_element({(0, 0, 0): 1, (1, 0, 0): -1}), AHEIS.zero()],
+        [AHEIS.group_element({(0, 1, 0): (Fraction(1, 2), Fraction(2))}),
+         AHEIS.group_element({(0, 0, 0): Fraction(-3, 4), (0, 1, 1): 1})]])
+    window = conjugation_closure(AHEIS.ring, [(a, b, c) for a in range(-1, 3)
+                                              for b in range(-1, 2) for c in range(0, 3)])
+    return [kernel_dim_estimate(T, F, side=side).to_json()
+            for T, F in ((gauss, box), (block, window)) for side in ("right", "left")]
 
 
 def render(case: str, workdir: Path) -> str:
@@ -113,6 +134,8 @@ def render(case: str, workdir: Path) -> str:
         a = AZ.group_element({0: (Fraction(1, 3), Fraction(-2, 7)), 4: 2, -1: 1})
         report = haar_approx_sequence(a, group_quotient_tower(AZ, [2, 4, 8]))
         return canonical_dumps(report.to_json())
+    if case == "kernel_dim_windows":
+        return canonical_dumps(_window_estimates())
     paths = {}
     for stem, element in _inputs().items():
         path = workdir / f"{stem}.json"

@@ -535,6 +535,26 @@ def test_image_escaping_window_is_internal_error(algebra, F):
 
 @pytest.mark.parametrize("algebra,F", [(AZ2, ball(AZ2.ring, [(1, 0), (0, 1)], 2)),
                                        (ASU2, range(4))])
+def test_emptied_boundary_of_a_whole_window_is_internal_error(algebra, F):
+    # a whole-window record whose boundary is emptied after it is built: on
+    # a group ring the operator reads the decomposition's own translate
+    # table, which holds no row for the translate that leaves F
+    from folnerlab.fusion import LabelSet
+    from folnerlab.polalg import _restricted_operator
+
+    ring = algebra.ring
+    top = ring.sorted_labels(ring.label_set(F))[-1]
+    T = MatrixOverPol.from_element(algebra.one() + algebra.basis(top))
+    for side in ("right", "left"):
+        dec = boundary_decomposition(ring, F, T.support(), side=side)
+        assert dec.boundary
+        dec.boundary = LabelSet(ring, ())
+        with pytest.raises(RuntimeError, match="fusion inclusion violated"):
+            _restricted_operator(T, dec)
+
+
+@pytest.mark.parametrize("algebra,F", [(AZ2, ball(AZ2.ring, [(1, 0), (0, 1)], 2)),
+                                       (ASU2, range(4))])
 def test_restricted_operator_needs_S_to_cover_the_support(algebra, F):
     # the record's S bounds the interior; a record over an S that misses a
     # label of supp(T) is rejected, on every path to the operator

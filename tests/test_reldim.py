@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from folnerlab import (AlgebraError, MatrixOverPol, algebra_for, ball,
-                       exact_mvn_dim_finite, folner_search, full_mult_matrix,
+                       conjugation_closure, exact_mvn_dim_finite, folner_search, full_mult_matrix,
                        group_quotient_tower, kernel_dim_estimate, rank_nullity,
                        relative_dimension, restricted_mult_matrix,
                        tower_kernel_dims)
@@ -157,23 +157,18 @@ def test_estimate_leaves_the_outer_boundary_unread(monkeypatch, side):
     ring, N = AZ2.ring, 10
     a = AZ2.group_element({(0, 0): 3, (1, 0): -1, (0, 1): 2, (-1, 1): 1})
     S = a.support()
-    records, calls = [], []
-    estimate, supp = folnerlab.reldim._estimate, ring._support
+    records, estimate = [], folnerlab.reldim._estimate
 
     def recording(T, dec):
         records.append(dec)
         return estimate(T, dec)
 
-    def counting(u, v):
-        calls.append(None)
-        return supp(u, v)
-
     def forbidden(self):
         raise AssertionError("coboundary computed")
 
     monkeypatch.setattr(folnerlab.reldim, "_estimate", recording)
-    monkeypatch.setattr(ring, "_support", counting)
     monkeypatch.setattr(BoundaryData, "coboundary", property(forbidden))
+    calls = _counting_mul(monkeypatch, ring)  # every product of the group ring
     F = box2(N)
     kernel_dim_estimate(MatrixOverPol.from_element(a), F, side=side)
     monkeypatch.undo()
@@ -189,6 +184,55 @@ def test_estimate_leaves_the_outer_boundary_unread(monkeypatch, side):
               and any((mul(u, v) if side == "right" else mul(v, u)) in F for v in S)}
     assert dec.coboundary == direct
     assert dec.symmetric_boundary == dec.boundary | direct
+
+
+def _counting_mul(monkeypatch, ring) -> list:
+    """Record every call of the group law of ``ring``; _support and the
+    algebra's products go through it too."""
+    calls, mul = [], ring._mul
+
+    def counting(g, h):
+        calls.append(None)
+        return mul(g, h)
+
+    monkeypatch.setattr(ring, "_mul", counting)
+    return calls
+
+
+# an Ore pair on the radius-6 Heisenberg ball, from a cold ball cache:
+# the ball, its shell boundary, the operator over the interior and the
+# residual check
+ORE_RADIUS6_MULS = 2665
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_window_estimate_makes_one_product_per_translate(monkeypatch, side):
+    # the decomposition of a whole window forms each translate x h (h x on
+    # the left), x in F, h in S, once; the operator copies T's coefficients
+    # to their rows and multiplies nothing
+    heis_window = conjugation_closure(AHEIS.ring, [(a, b, c) for a in range(-2, 3)
+                                                   for b in range(-2, 3) for c in range(-2, 3)])
+    for algebra, F, terms in [
+            (AZ2, box2(6), {(0, 0): 3, (1, 0): -1, (0, 1): (0, 2), (-1, 1): 1}),
+            (AHEIS, heis_window, {(0, 0, 0): 2, (1, 0, 0): -1, (0, 1, 0): (1, 1)})]:
+        a = algebra.group_element(terms)
+        for T in (MatrixOverPol.from_element(a),
+                  MatrixOverPol(algebra, [[a, algebra.zero()], [algebra.one() - a, a]])):
+            calls = _counting_mul(monkeypatch, algebra.ring)
+            kernel_dim_estimate(T, F, side=side)
+            monkeypatch.undo()
+            assert len(calls) == len(F) * len(T.support())
+
+
+def test_ore_pair_products_are_pinned(monkeypatch):
+    from folnerlab import OrePair, ore_pair
+
+    ring = AHEIS.ring
+    monkeypatch.setattr(ring, "_ball_cache", {})
+    calls = _counting_mul(monkeypatch, ring)
+    pair = ore_pair(AHEIS.group_element((1, 0, 0)), AHEIS.group_element((0, 1, 0)))
+    assert isinstance(pair, OrePair) and pair.radius == 6
+    assert len(calls) == ORE_RADIUS6_MULS
 
 
 def test_finite_dimension_decomposes_no_window(monkeypatch):
@@ -221,7 +265,8 @@ def test_finite_group_ring_dimension_never_builds_the_full_operator(monkeypatch)
 
     monkeypatch.setattr(folnerlab.polalg, "full_mult_matrix", forbidden)
     monkeypatch.setattr(folnerlab.reldim, "full_mult_matrix", forbidden)
-    monkeypatch.setattr(folnerlab.polalg, "_operator_on", forbidden)
+    monkeypatch.setattr(folnerlab.polalg, "_restricted_operator", forbidden)
+    monkeypatch.setattr(folnerlab.reldim, "_restricted_operator", forbidden)
     shapes = []
     rank = folnerlab.exactla.rank_nullity
 
