@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .folner import ExhaustionReport, FolnerCertificate, folner_search, isoperimetric_profile
@@ -57,12 +58,19 @@ def _labels_flag(ring, text: str) -> list:
         raise CliError(str(exc)) from None
 
 
-def _load_matrix(path: str, ring_tag: str | None) -> MatrixOverPol:
+@contextmanager
+def _opened(path: str, mode: str = "r", **kwargs):
+    """``path`` opened in ``mode``; an OSError is a CliError naming it."""
     try:
-        with open(path) as fh:
-            obj = load_element(fh.read())
+        with open(path, mode, **kwargs) as fh:
+            yield fh
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+        raise CliError(f"cannot {'write' if 'w' in mode else 'read'} {path}: {exc}") from None
+
+
+def _load_matrix(path: str, ring_tag: str | None) -> MatrixOverPol:
+    with _opened(path) as fh:
+        obj = load_element(fh.read())
     if not isinstance(obj, MatrixOverPol):
         obj = MatrixOverPol.from_element(obj)
     if ring_tag and ring_from_tag(ring_tag) is not obj.algebra.ring:
@@ -73,7 +81,7 @@ def _load_matrix(path: str, ring_tag: str | None) -> MatrixOverPol:
 def _emit(payload: dict, out_path: str | None) -> None:
     text = canonical_dumps(payload)
     if out_path:
-        with open(out_path, "w") as fh:
+        with _opened(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -112,7 +120,7 @@ def _run_profile(args) -> int:
     rows = isoperimetric_profile(ring, S, args.max_radius)
     payload_rows = [r.to_json() for r in rows]
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with _opened(args.csv, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=list(payload_rows[0]))
             w.writeheader()
             w.writerows(payload_rows)

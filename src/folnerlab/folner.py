@@ -63,9 +63,10 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
                   windows=None):
     """First window satisfying the strict Folner inequality, or a report.
 
-    ``windows`` switches to a user-supplied window sequence (each window is
-    closed under conjugation before testing). Certificates are re-validated
-    from scratch before being returned.
+    ``windows`` switches to a user-supplied, non-empty window sequence (each
+    window is closed under conjugation before testing); an exhaustion report
+    gives the index of the last window tested as its ``max_radius``.
+    Certificates are re-validated from scratch before being returned.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -99,8 +100,10 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
             if not verify_certificate(ring, cert):
                 raise RuntimeError("certificate failed independent re-validation")
             return cert
+    if not profile:
+        raise ValueError("windows must not be empty")
     return ExhaustionReport(ring=ring.tag, S=ring.sorted_labels(S),
-                            epsilon=epsilon, max_radius=max_radius,
+                            epsilon=epsilon, max_radius=len(profile) - 1,
                             strategy=strategy, profile=tuple(profile))
 
 

@@ -23,10 +23,10 @@ The restricted operator and the kernel bracket of a window are built from
 the record alone. Records come in two kinds:
 
 * ball records (``ball_boundary``): a ball window B_r is decomposed from its
-  outer shell B_r \\ B_{r-1} alone, and never sorted; profiles, Folner
-  searches and the zero-divisor and Ore loops read them. On a group ring
-  the operator's translate table is computed on first read, over the
-  interior only;
+  outer shell B_r \\ B_{r-1} alone, as the ball cache holds it, and never
+  sorted; profiles, Folner searches and the zero-divisor and Ore loops read
+  them. On a group ring the operator's translate table is computed on first
+  read, over the interior only;
 * whole-window records (``boundary_decomposition``): every label of F is
   tested. On a group ring the window is sorted and each translate x v
   (v x on the left), x in F, v in S, is formed once, into the translate
@@ -65,8 +65,8 @@ validates a label again: ``product`` and the trusted surface (``_dim``,
 rings derive them from their trusted group law ``_mul``/``_inv``; their
 ``_reduce`` takes any label of the group's shape to its normal form.
 
-Rings are immutable after construction; the ball cache is pure and only
-ever grows.
+Rings are immutable after construction but for the ball cache, which is
+pure, only ever grows, and keeps each label of a ball once, in its shell.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class FusionRing:
     is_finite = False
 
     def __init__(self):
-        self._ball_cache: dict[tuple, list[LabelSet]] = {}
+        self._ball_cache: dict[tuple, list[LabelSet]] = {}  # S sorted: its shells
 
     # subclass surface ------------------------------------------------------
 
@@ -533,16 +533,14 @@ def boundary_decomposition(ring: FusionRing, F: Iterable, S: Iterable,
 def ball_boundary(ring: FusionRing, S: Iterable, radius: int,
                   side: str = "right") -> BoundaryData:
     """``boundary_decomposition(ring, ball(ring, S, radius), S, side)``, from
-    the outer shell B_r \\ B_{r-1} alone.
+    the outer shell B_r \\ B_{r-1} alone, as the ball cache holds it.
 
     S lies in B_1, so supp(u x v) and supp(v x u) lie in B_r for every u in
     B_{r-1} and v in S, and likewise for conj(v): B_{r-1} is interior on
     either side, and its Frobenius reach stays inside B_r.
     """
     S = ring.label_set(S)
-    F = ball(ring, S, radius)
-    shell = F - ball(ring, S, radius - 1) if radius else F
-    return _decompose(ring, F, shell, S, side)
+    return _decompose(ring, ball(ring, S, radius), _shells(ring, S, radius)[-1], S, side)
 
 
 def _decompose(ring: FusionRing, F: LabelSet, shell, S: Iterable,
@@ -585,23 +583,28 @@ def _decompose(ring: FusionRing, F: LabelSet, shell, S: Iterable,
 def ball(ring: FusionRing, S: Iterable, radius: int) -> LabelSet:
     """Supports of all products of at most ``radius`` factors from S, its
     conjugate set and the unit; radius 0 gives {e}. Monotone in the radius
-    and automatically conjugation-closed. Cached per (ring, S)."""
+    and automatically conjugation-closed: the union of the shells of S."""
+    return LabelSet(ring, frozenset().union(*_shells(ring, ring.label_set(S), radius)))
+
+
+def _shells(ring: FusionRing, S: LabelSet, radius: int) -> list:
+    """The shells B_0 = {e}, B_r \\ B_{r-1} of the checked S up to ``radius``,
+    cached per (ring, S): each label is kept once. S u conj(S) is closed under
+    conjugation, so by Frobenius reciprocity shell r reaches only shells r-1,
+    r and r+1, and shell r+1 is grown from the last two alone."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    S = ring.label_set(S)
-    key = ring.sorted_labels(S)
-    balls = ring._ball_cache.setdefault(key, [LabelSet(ring, (ring.unit,))])
-    if len(balls) <= radius:
+    shells = ring._ball_cache.setdefault(ring.sorted_labels(S), [LabelSet(ring, (ring.unit,))])
+    if len(shells) <= radius:
         gens = ring.sorted_labels(conjugation_closure(ring, S) - {ring.unit})
-        while len(balls) <= radius:
-            prev = balls[-1]
-            frontier = prev if len(balls) == 1 else prev - balls[-2]
-            new = set()
-            for u in frontier:
-                for v in gens:
-                    new.update(ring._support(u, v))
-            balls.append(LabelSet(ring, prev | new))
-    return balls[radius]
+        inner = shells[-2] if len(shells) > 1 else frozenset()
+        while len(shells) <= radius:
+            outer = shells[-1]
+            shells.append(LabelSet(ring, {w for u in outer for v in gens
+                                          for w in ring._support(u, v)
+                                          if w not in outer and w not in inner}))
+            inner = outer
+    return shells[:radius + 1]
 
 
 def check_axioms(ring: FusionRing, labels: Iterable) -> dict:

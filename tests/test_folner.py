@@ -92,6 +92,25 @@ def test_user_supplied_windows_strategy():
     assert verify_certificate(Z, cert)
 
 
+def test_user_windows_exhaustion_reports_the_windows_tested():
+    # max_radius is the index of the last window tested, not the budget
+    one = folner_search(Z, [1], Fraction(1, 100), 10, windows=[[0, 1, -1]])
+    assert isinstance(one, ExhaustionReport)
+    assert (one.max_radius, len(one.profile)) == (0, 1)
+    two = [[0, 1, -1], range(-2, 3)]
+    assert folner_search(Z, [1], Fraction(1, 100), 0, windows=two).max_radius == 0
+    assert folner_search(Z, [1], Fraction(1, 100), 1, windows=two).max_radius == 1
+    assert folner_search(Z, [1], Fraction(1, 100), 10, windows=iter(two)).max_radius == 1
+    # the ball strategy tests every radius up to the budget
+    assert folner_search(Z, [1], Fraction(1, 100), 4).max_radius == 4
+
+
+@pytest.mark.parametrize("windows", [[], iter([])])
+def test_empty_user_windows_are_rejected(windows):
+    with pytest.raises(ValueError, match="windows"):
+        folner_search(Z, [1], Fraction(1, 2), 5, windows=windows)
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         folner_search(Z, [1], Fraction(0), 5)

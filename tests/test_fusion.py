@@ -465,6 +465,49 @@ def test_ball_monotone():
             prev = cur
 
 
+def _nested_balls(ring, S, radius):
+    """B_0 = {e}, B_{r+1} = B_r u supp(B_r x gens), gens = S u conj(S)."""
+    gens = set(S) | {ring._conj(v) for v in S}
+    balls = [frozenset({ring.unit})]
+    for _ in range(radius):
+        B = balls[-1]
+        balls.append(B | {w for u in B for v in gens for w in ring.product(u, v)})
+    return balls
+
+
+def _cached_shells(ring, S):
+    return ring._ball_cache[ring.sorted_labels(ring.label_set(S))]
+
+
+@pytest.mark.parametrize("ring,S", [
+    pytest.param(SU2, [1], id="su2"),
+    pytest.param(SU2, [0, 3], id="su2-with-unit"),
+    pytest.param(Z2, [(1, 0), (0, 1)], id="Z^2-not-conjugation-closed"),
+    pytest.param(Z2, [(0, 0), (1, 1), (-1, -1)], id="Z^2-with-unit"),
+    pytest.param(HEIS, [(1, 0, 0), (0, 1, 0)], id="heisenberg-not-conjugation-closed"),
+    pytest.param(HEIS, [(0, 0, 0), (1, 1, 0)], id="heisenberg-with-unit"),
+    pytest.param(Z6, [1], id="Z/6-saturating"),
+    pytest.param(Z6, [0, 2], id="Z/6-with-unit"),
+    pytest.param(S3, ["std"], id="S3"),
+    pytest.param(S3, ["triv", "sgn"], id="S3-with-unit"),
+])
+def test_shells_partition_the_nested_balls(monkeypatch, ring, S):
+    # grown at once and radius by radius, the cached shells are B_0 and
+    # B_r \ B_{r-1} of the nested definition, empty once a finite ring is
+    # exhausted, and each ball is their union
+    radius = 8
+    nested = _nested_balls(ring, S, radius)
+    shells = [nested[0]] + [nested[r] - nested[r - 1] for r in range(1, radius + 1)]
+    monkeypatch.setattr(ring, "_ball_cache", {})
+    assert ball(ring, S, radius) == nested[radius]
+    assert _cached_shells(ring, S) == shells
+    # each label is cached once: the shells hold |B_R| labels in all
+    assert sum(map(len, _cached_shells(ring, S))) == len(nested[radius])
+    monkeypatch.setattr(ring, "_ball_cache", {})
+    assert [ball(ring, S, r) for r in range(radius + 1)] == nested
+    assert _cached_shells(ring, S) == shells
+
+
 def test_ball_is_conjugation_closed():
     # folner_search, isoperimetric_profile and the CLI use balls as windows
     # without closing them under conjugation again

@@ -180,6 +180,23 @@ def test_cli_profile_json_and_csv(capsys, tmp_path):
     assert lines[2].split(",")[4] == "4/3"
 
 
+PROFILE_Z = ["profile", "--ring", "group:Z", "--S", "1", "--max-radius", "2"]
+
+
+@pytest.mark.parametrize("argv, verb", [
+    pytest.param(PROFILE_Z + ["--out"], "write", id="out"),
+    pytest.param(PROFILE_Z + ["--csv"], "write", id="csv"),
+    pytest.param(["kernel-dim", "--window", "1", "--matrix"], "read", id="matrix"),
+])
+def test_cli_file_error_is_an_error_message(capsys, tmp_path, argv, verb):
+    path = tmp_path / "missing" / "file"
+    code = main(argv + [str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot {verb} {path}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, short, S", [
     (["profile", "--ring", "group:Z^2", "--max-radius", "3"], "[1,0]", [[1, 0]]),
     (["folner", "--ring", "finite:S3", "--epsilon", "1/10"], "std", ["std"]),
