@@ -15,6 +15,7 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 
 from .folner import ExhaustionReport, FolnerCertificate, folner_search, isoperimetric_profile
 from .fusion import ball, ball_boundary, check_axioms, ring_from_tag
@@ -261,8 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on first use: parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (CliError, SchemaError, AlgebraError, ValueError) as exc:

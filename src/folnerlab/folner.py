@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fusion import (BoundaryData, FusionRing, ball_boundary, boundary_decomposition,
+from .fusion import (BoundaryData, FusionRing, ball, ball_rows, boundary_decomposition,
                      conjugation_closure)
 from .serialize import Report
 
@@ -63,10 +63,12 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
                   windows=None):
     """First window satisfying the strict Folner inequality, or a report.
 
-    ``windows`` switches to a user-supplied, non-empty window sequence (each
-    window is closed under conjugation before testing); an exhaustion report
-    gives the index of the last window tested as its ``max_radius``.
-    Certificates are re-validated from scratch before being returned.
+    The ball strategy reads its rows from the ball cache (``ball_rows``), one
+    shell at a time, and builds B_r only for a certificate. ``windows``
+    switches to a user-supplied, non-empty window sequence (each window is
+    closed under conjugation before testing); an exhaustion report gives the
+    index of the last window tested as its ``max_radius``. Certificates are
+    re-validated from scratch before being returned.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -78,22 +80,21 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
         raise ValueError("S must be non-empty")
     strategy = "ball" if windows is None else "user"
     if windows is None:
-        decompositions = (ball_boundary(ring, S, k) for k in range(max_radius + 1))
+        tested = ((_row(radius, *weights), None)
+                  for radius, weights in enumerate(ball_rows(ring, S)))
     else:
-        decompositions = (boundary_decomposition(ring, conjugation_closure(ring, W), S)
-                          for W in windows)
+        tested = _user_rows(ring, S, windows)
     profile = []
-    for radius, dec in zip(range(max_radius + 1), decompositions):
-        if not dec.window:
-            raise ValueError(f"window {radius} is empty")
-        row = _profile_row(dec, radius)
+    for radius, (row, window) in zip(range(max_radius + 1), tested):
         profile.append(row)
         # strict inequality, cross-multiplied integers
         if row.symmetric_boundary_weight * epsilon.denominator \
                 < epsilon.numerator * row.window_weight:
+            if window is None:
+                window = ball(ring, S, radius)
             cert = FolnerCertificate(
                 ring=ring.tag, S=ring.sorted_labels(S), epsilon=epsilon,
-                F=ring.sorted_labels(dec.window),
+                F=ring.sorted_labels(window),
                 boundary_weight=row.symmetric_boundary_weight,
                 window_weight=row.window_weight,
                 strategy=strategy, radius=radius)
@@ -107,22 +108,36 @@ def folner_search(ring: FusionRing, S, epsilon, max_radius: int,
                             strategy=strategy, profile=tuple(profile))
 
 
+def _user_rows(ring: FusionRing, S, windows):
+    """(row, window) of each user window, closed under conjugation."""
+    for radius, W in enumerate(windows):
+        dec = boundary_decomposition(ring, conjugation_closure(ring, W), S)
+        if not dec.window:
+            raise ValueError(f"window {radius} is empty")
+        yield _profile_row(dec, radius), dec.window
+
+
+def _row(radius: int, window: int, boundary: int, symmetric: int) -> ProfileRow:
+    return ProfileRow(radius=radius, window_weight=window, boundary_weight=boundary,
+                      symmetric_boundary_weight=symmetric, ratio=Fraction(symmetric, window))
+
+
 def _profile_row(dec: BoundaryData, radius: int) -> ProfileRow:
     """The row of the window of the boundary decomposition ``dec``."""
-    return ProfileRow(radius=radius, window_weight=dec.window_weight,
-                      boundary_weight=dec.boundary_weight,
-                      symmetric_boundary_weight=dec.symmetric_boundary_weight,
-                      ratio=Fraction(dec.symmetric_boundary_weight, dec.window_weight))
+    return _row(radius, dec.window_weight, dec.boundary_weight, dec.symmetric_boundary_weight)
 
 
 def isoperimetric_profile(ring: FusionRing, S, max_radius: int) -> list[ProfileRow]:
-    """Exact integer table (radius, |F|, |bd_S F|, |bd^sym_S F|, ratio)."""
+    """Exact integer table (radius, |F|, |bd_S F|, |bd^sym_S F|, ratio) of the
+    balls B_0..B_max_radius, read from the ball cache (``ball_rows``): a cold
+    radius-R profile grows shells 0..R+1 once and builds no ball."""
     if max_radius < 0:
         raise ValueError("max_radius must be >= 0")
     S = ring.label_set(S)
     if not S:
         raise ValueError("S must be non-empty")
-    return [_profile_row(ball_boundary(ring, S, k), k) for k in range(max_radius + 1)]
+    return [_row(radius, *weights)
+            for radius, weights in zip(range(max_radius + 1), ball_rows(ring, S))]
 
 
 # ---------------------------------------------------------------------------

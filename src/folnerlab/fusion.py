@@ -14,7 +14,12 @@ with the symmetric boundary adding the outer boundary bd_S(F^c). The outer
 boundary is computed without touching the infinite complement via Frobenius
 reciprocity: bd_S(F^c) = (U_{w in F, v in S} supp(w x conj(v))) \\ F, and
 only on first read: kernel estimates need the boundary and the weights
-alone, Folner searches and profiles read the outer boundary as well.
+alone, user-window Folner searches and exhausted Ore searches read the outer
+boundary as well.
+
+Profiles and ball Folner searches read no record: each row of a ball B_r
+(``ball_rows``) is a by-product of growing the next shell in the ball cache,
+which keeps the boundary and coboundary weights of B_r beside its shells.
 
 One record, ``BoundaryData``, holds a window F and its boundary together
 with the S and the side (of multiplication: products u x v or v x u) they
@@ -24,9 +29,9 @@ the record alone. Records come in two kinds:
 
 * ball records (``ball_boundary``): a ball window B_r is decomposed from its
   outer shell B_r \\ B_{r-1} alone, as the ball cache holds it, and never
-  sorted; profiles, Folner searches and the zero-divisor and Ore loops read
-  them. On a group ring the operator's translate table is computed on first
-  read, over the interior only;
+  sorted; the zero-divisor and Ore loops, ``kernel_dim_sequence`` and
+  ``kernel-dim --window`` read them. On a group ring the operator's
+  translate table is computed on first read, over the interior only;
 * whole-window records (``boundary_decomposition``): every label of F is
   tested. On a group ring the window is sorted and each translate x v
   (v x on the left), x in F, v in S, is formed once, into the translate
@@ -66,14 +71,16 @@ rings derive them from their trusted group law ``_mul``/``_inv``; their
 ``_reduce`` takes any label of the group's shape to its normal form.
 
 Rings are immutable after construction but for the ball cache, which is
-pure, only ever grows, and keeps each label of a ball once, in its shell.
+pure, only ever grows, and keeps each label of a ball once, in its shell,
+with the boundary and coboundary weights of each ball.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import count
 from operator import add, neg
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class InvalidLabelError(ValueError):
@@ -102,7 +109,7 @@ class FusionRing:
     is_finite = False
 
     def __init__(self):
-        self._ball_cache: dict[tuple, list[LabelSet]] = {}  # S sorted: its shells
+        self._ball_cache: dict[tuple, _Shells] = {}  # S sorted: its shells
 
     # subclass surface ------------------------------------------------------
 
@@ -436,7 +443,8 @@ class BoundaryData:
     The interior, the coboundary (the Frobenius reach ``reach()`` minus F,
     so it never meets the window), the symmetric boundary and its weight are
     computed on first read: the library reads no interior, kernel estimates
-    read no coboundary, Folner searches and profiles do.
+    read no coboundary, user-window Folner searches and exhausted Ore
+    searches do.
 
     ``order`` is F sorted, and on a group ring ``rows`` is the translate
     table of the restricted operator: for each v in S, the row in ``order``
@@ -540,7 +548,8 @@ def ball_boundary(ring: FusionRing, S: Iterable, radius: int,
     either side, and its Frobenius reach stays inside B_r.
     """
     S = ring.label_set(S)
-    return _decompose(ring, ball(ring, S, radius), _shells(ring, S, radius)[-1], S, side)
+    return _decompose(ring, ball(ring, S, radius), _shells(ring, S, radius).shells[radius],
+                      S, side)
 
 
 def _decompose(ring: FusionRing, F: LabelSet, shell, S: Iterable,
@@ -584,27 +593,79 @@ def ball(ring: FusionRing, S: Iterable, radius: int) -> LabelSet:
     """Supports of all products of at most ``radius`` factors from S, its
     conjugate set and the unit; radius 0 gives {e}. Monotone in the radius
     and automatically conjugation-closed: the union of the shells of S."""
-    return LabelSet(ring, frozenset().union(*_shells(ring, ring.label_set(S), radius)))
+    shells = _shells(ring, ring.label_set(S), radius).shells
+    return LabelSet(ring, frozenset().union(*shells[:radius + 1]))
 
 
-def _shells(ring: FusionRing, S: LabelSet, radius: int) -> list:
-    """The shells B_0 = {e}, B_r \\ B_{r-1} of the checked S up to ``radius``,
-    cached per (ring, S): each label is kept once. S u conj(S) is closed under
-    conjugation, so by Frobenius reciprocity shell r reaches only shells r-1,
-    r and r+1, and shell r+1 is grown from the last two alone."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    shells = ring._ball_cache.setdefault(ring.sorted_labels(S), [LabelSet(ring, (ring.unit,))])
-    if len(shells) <= radius:
-        gens = ring.sorted_labels(conjugation_closure(ring, S) - {ring.unit})
+class _Shells:
+    """The ball cache entry of one checked S: ``shells`` holds B_0 = {e} and
+    the shells B_r \\ B_{r-1}, each label once, and ``rims[r]`` the boundary
+    and coboundary weights of B_r (right side), for every shell r but the
+    last.
+
+    The generators S u conj(S) \\ {e} are closed under conjugation, so by
+    Frobenius reciprocity shell r reaches only shells r-1, r and r+1, and
+    shell r+1 is grown from the last two alone. The same products give the
+    rim of B_r: its boundary is the labels u of shell r with some
+    supp(u x v), v in S, in shell r+1, and its coboundary is the labels of
+    shell r+1 in some supp(u x conj(v)); B_{r-1} is interior and reaches
+    only B_r."""
+
+    def __init__(self, ring: FusionRing, S: LabelSet):
+        self.ring = ring
+        conj_S = {ring._conj(v) for v in S}
+        # (v, v in S, v in conj(S)) for each generator v
+        self.gens = [(v, v in S, v in conj_S)
+                     for v in ring.sorted_labels(conjugation_closure(ring, S) - {ring.unit})]
+        self.shells = [LabelSet(ring, (ring.unit,))]
+        self.rims = []
+
+    def grow(self, radius: int) -> _Shells:
+        """Grow the shells up to ``radius``; returns self."""
+        ring, shells = self.ring, self.shells
+        supp = ring._support
         inner = shells[-2] if len(shells) > 1 else frozenset()
         while len(shells) <= radius:
             outer = shells[-1]
-            shells.append(LabelSet(ring, {w for u in outer for v in gens
-                                          for w in ring._support(u, v)
-                                          if w not in outer and w not in inner}))
+            new, boundary, coboundary = set(), set(), set()
+            for v, right, back in self.gens:
+                hits = [(u, w) for u in outer for w in supp(u, v)
+                        if w not in outer and w not in inner]
+                new.update(w for _, w in hits)
+                if right:
+                    boundary.update(u for u, _ in hits)
+                if back:
+                    coboundary.update(w for _, w in hits)
+            shells.append(LabelSet(ring, new))
+            self.rims.append((weighted_size(ring, LabelSet(ring, boundary)),
+                              weighted_size(ring, LabelSet(ring, coboundary))))
             inner = outer
-    return shells[:radius + 1]
+        return self
+
+
+def _shells(ring: FusionRing, S: LabelSet, radius: int) -> _Shells:
+    """The ball cache entry of the checked S, grown to at least ``radius``."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    key = ring.sorted_labels(S)
+    entry = ring._ball_cache.get(key)
+    if entry is None:
+        entry = ring._ball_cache[key] = _Shells(ring, S)
+    return entry.grow(radius)
+
+
+def ball_rows(ring: FusionRing, S: Iterable) -> Iterator[tuple[int, int, int]]:
+    """(|B_r|, |bd_S B_r|, |bd^sym_S B_r|) for r = 0, 1, 2, ..., on the right
+    side, read from the ball cache: |B_r| is the running sum of the shell
+    weights, and the rim of B_r comes from growing shell r+1, one shell per
+    row. No ball is built and no product is formed beyond the growth pass."""
+    entry = _shells(ring, ring.label_set(S), 0)
+    window = 0
+    for radius in count():
+        entry.grow(radius + 1)
+        window += weighted_size(ring, entry.shells[radius])
+        boundary, coboundary = entry.rims[radius]
+        yield window, boundary, boundary + coboundary
 
 
 def check_axioms(ring: FusionRing, labels: Iterable) -> dict:

@@ -84,6 +84,36 @@ def test_ball_loops_weigh_no_label_and_read_no_interior(monkeypatch):
     assert isinstance(rep, ExhaustionReport) and len(rep.profile) == 11
 
 
+def test_ball_search_builds_only_the_certificate_ball(monkeypatch):
+    # the rows come from the ball cache, one shell at a time: a cold search
+    # grows shells 0..r+1 for its certified radius r, multiplies each label
+    # of B_r once per generator, and builds B_r once, for F
+    import folnerlab.folner as folner
+
+    S = [(1, 0), (0, 1)]
+    monkeypatch.setattr(Z2, "_ball_cache", {})
+    real_ball, built = folner.ball, []
+
+    def counting_ball(ring, S, radius):
+        built.append(radius)
+        return real_ball(ring, S, radius)
+
+    real_support, products = Z2._support, []
+
+    def counting_support(u, v):
+        products.append(None)
+        return real_support(u, v)
+
+    monkeypatch.setattr(folner, "ball", counting_ball)
+    monkeypatch.setattr(Z2, "_support", counting_support)
+    cert = folner_search(Z2, S, Fraction(1, 10), 100)
+    assert built == [cert.radius] == [30]
+    assert len(products) == 4 * cert.window_weight
+    built.clear()
+    rep = folner_search(Z2, S, Fraction(1, 100), 10)
+    assert isinstance(rep, ExhaustionReport) and built == []
+
+
 def test_user_supplied_windows_strategy():
     windows = [range(-n, n + 1) for n in (1, 5, 25)]
     cert = folner_search(Z, [1, -1], Fraction(1, 10), 10, windows=windows)

@@ -428,6 +428,91 @@ def test_profile_tests_only_the_shell(monkeypatch):
     assert 0 < len(calls) <= 2 * len(S) * shell_labels
 
 
+# ---------------------------------------------------------------------------
+# profile rows: a by-product of growing the next shell
+
+def _assert_rows_match_full(ring, S, max_radius):
+    for row in isoperimetric_profile(ring, S, max_radius):
+        dec = boundary_decomposition(ring, ball(ring, S, row.radius), S)
+        assert (row.window_weight, row.boundary_weight, row.symmetric_boundary_weight) \
+            == (dec.window_weight, dec.boundary_weight, dec.symmetric_boundary_weight)
+
+
+ROW_CASES = [
+    pytest.param(SU2, [1], id="su2"),
+    pytest.param(SU2, [0, 3], id="su2-with-unit"),
+    pytest.param(SU2, [2, 3], id="su2-23"),
+    pytest.param(Z2, [(1, 0), (0, 1)], id="Z^2-not-conjugation-closed"),
+    pytest.param(Z2, [(0, 0), (1, 1), (-1, -1)], id="Z^2-with-unit"),
+    pytest.param(HEIS, [(1, 0, 0), (0, 1, 0)], id="heisenberg-not-conjugation-closed"),
+    pytest.param(HEIS, [(0, 0, 0), (1, 1, 0)], id="heisenberg-with-unit"),
+    pytest.param(Z6, [1], id="Z/6-saturating"),
+    pytest.param(Z6, [0, 2], id="Z/6-with-unit"),
+    pytest.param(S3, ["std"], id="S3"),
+    pytest.param(S3, ["triv", "sgn"], id="S3-with-unit"),
+]
+
+
+@pytest.mark.parametrize("ring,S", ROW_CASES)
+def test_profile_rows_match_full_decomposition(monkeypatch, ring, S):
+    # from a cold cache, every row comes from growing its next shell
+    monkeypatch.setattr(ring, "_ball_cache", {})
+    _assert_rows_match_full(ring, S, 8)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_profile_rows_match_full_decomposition_on_random_S(data):
+    ring = data.draw(st.sampled_from((Z2, ZXZ2, HEIS)))
+    S = data.draw(st.lists(_labels(ring), min_size=1, max_size=3, unique=True))
+    _assert_rows_match_full(ring, S, 3 if ring is HEIS else 5)
+
+
+def test_z2_profile_rows_in_closed_form():
+    # |B_r| = 2r^2 + 2r + 1; the boundary is the 3r + 1 labels of the sphere
+    # with a >= 0 or b >= 0, the coboundary the 3r + 2 of sphere r + 1 with
+    # a < 0 or b < 0
+    rows = isoperimetric_profile(Z2, [(1, 0), (0, 1)], 200)
+    assert [(row.window_weight, row.boundary_weight, row.symmetric_boundary_weight)
+            for row in rows] == [(2 * r * r + 2 * r + 1, 3 * r + 1, 6 * r + 3)
+                                 for r in range(201)]
+
+
+@pytest.mark.parametrize("ring,S,radius", [
+    pytest.param(Z2, [(1, 0), (0, 1)], 30, id="Z^2"),
+    pytest.param(HEIS, [(1, 0, 0), (0, 1, 0)], 6, id="heisenberg"),
+    pytest.param(SU2, [1, 2], 20, id="su2"),
+    pytest.param(Z6, [0, 1], 8, id="Z/6-with-unit-saturating"),
+    pytest.param(S3, ["std"], 4, id="S3"),
+])
+def test_cold_profile_makes_one_product_per_shell_label_and_generator(monkeypatch, ring, S,
+                                                                     radius):
+    # growing shells 0..R+1 multiplies each label of B_R once by each
+    # generator in S u conj(S) \ {e}; no ball and no ball record is built
+    import folnerlab.folner
+    import folnerlab.fusion
+
+    gens = conjugation_closure(ring, S) - {ring.unit}
+    labels = len(ball(ring, S, radius))
+    monkeypatch.setattr(ring, "_ball_cache", {})
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a ball or a ball record was built")
+
+    for module, name in [(folnerlab.fusion, "ball"), (folnerlab.fusion, "ball_boundary"),
+                         (folnerlab.folner, "ball")]:
+        monkeypatch.setattr(module, name, forbidden)
+    real, calls = ring._support, []
+
+    def counting(u, v):
+        calls.append(None)
+        return real(u, v)
+
+    monkeypatch.setattr(ring, "_support", counting)
+    isoperimetric_profile(ring, S, radius)
+    assert len(calls) == labels * len(gens)
+
+
 @pytest.mark.parametrize("tag", ["group:Q", "S3", "group:heisenberg/x", "group:Z^0",
                                  "group:Z^x", "group:ZxQ"])
 def test_bad_ring_tag_is_rejected(tag):
@@ -476,7 +561,7 @@ def _nested_balls(ring, S, radius):
 
 
 def _cached_shells(ring, S):
-    return ring._ball_cache[ring.sorted_labels(ring.label_set(S))]
+    return ring._ball_cache[ring.sorted_labels(ring.label_set(S))].shells
 
 
 @pytest.mark.parametrize("ring,S", [

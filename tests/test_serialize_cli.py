@@ -330,6 +330,30 @@ def test_cli_error_paths(capsys, tmp_path):
         assert (code, out) == (1, None)
 
 
+def test_cli_builds_its_parser_once(capsys, monkeypatch):
+    from folnerlab import cli
+
+    real, built = cli.build_parser, []
+
+    def counting():
+        built.append(None)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(capsys, PROFILE_Z) == run_cli(capsys, PROFILE_Z)
+        # argparse errors still exit 2, and leave the parser usable
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--ring", "group:Z"])
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+        assert run_cli(capsys, PROFILE_Z)[0] == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_cli_rejects_boolean_labels(capsys):
     # JSON true is not the integer label 1, so it never reaches a report
     code, out = run_cli(capsys, ["folner", "--ring", "group:Z", "--S", "true",
