@@ -12,7 +12,10 @@ budget yields a neutral report with the full ratio profile; no claim about
 non-coamenability is ever made.
 
 Every certificate emitted here re-validates through ``verify_certificate``,
-a deliberately independent re-implementation of the boundary arithmetic.
+a deliberately independent second code path: the literal definition of
+bd^sym F in set comprehensions over ``product``, ``_conj`` and ``_dim``,
+sharing nothing with the shell and boundary code it re-checks. A certificate
+with a label outside the ring, or not in canonical form, fails it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fusion import (BoundaryData, FusionRing, ball, ball_rows, boundary_decomposition,
-                     conjugation_closure)
+from .fusion import (BoundaryData, FusionRing, InvalidLabelError, ball, ball_rows,
+                     boundary_decomposition, conjugation_closure)
 from .serialize import Report
 
 
@@ -141,43 +144,30 @@ def isoperimetric_profile(ring: FusionRing, S, max_radius: int) -> list[ProfileR
 
 
 # ---------------------------------------------------------------------------
-# independent re-validation (second code path, on purpose not reusing
-# boundary_decomposition / weighted_size); the labels are checked once at the
-# top, and the products, conjugates and dimensions after that trust them
-
-def _weight_by_loop(ring, labels) -> int:
-    total = 0
-    for u in labels:
-        d = ring._dim(u)
-        total += d * d
-    return total
-
+# independent re-validation, on the ring's check_label, product, _conj and
+# _dim alone (no _support, balls, shells, boundary_decomposition,
+# weighted_size or cached weights); the labels are checked once at the top,
+# and the products, conjugates and dimensions after that trust them
 
 def verify_certificate(ring: FusionRing, cert: FolnerCertificate) -> bool:
-    """Recompute both sides of the inequality from the ring data alone."""
-    if any(ring.check_label(u) != u for u in (*cert.F, *cert.S)):
+    """Recompute both sides of the inequality from the ring data alone. A
+    label outside the ring, or not in canonical form, gives False."""
+    try:
+        if any(ring.check_label(u) != u for u in (*cert.F, *cert.S)):
+            return False
+    except InvalidLabelError:
         return False
-    F = set(cert.F)
-    S = set(cert.S)
+    F, S = set(cert.F), set(cert.S)
     if not S or {ring._conj(u) for u in F} != F:
         return False
-    inner_boundary = set()
-    for u in F:
-        for v in S:
-            if any(w not in F for w in ring.product(u, v)):
-                inner_boundary.add(u)
-                break
+    conj_S = {ring._conj(v) for v in S}
+    inner = {u for u in F if any(w not in F for v in S for w in ring.product(u, v))}
     # candidates come from Frobenius reciprocity (that keeps them finite);
     # membership is then checked against the literal definition of bd_S(F^c)
-    candidates = set()
-    for w in F:
-        for v in S:
-            candidates.update(u for u in ring.product(w, ring._conj(v)) if u not in F)
-    outer_boundary = {u for u in candidates
-                      if any(any(x in F for x in ring.product(u, v)) for v in S)}
-    sym = inner_boundary | outer_boundary
-    lhs = _weight_by_loop(ring, sym)
-    rhs_window = _weight_by_loop(ring, F)
-    if lhs != cert.boundary_weight or rhs_window != cert.window_weight:
+    candidates = {u for w in F for c in conj_S for u in ring.product(w, c)} - F
+    outer = {u for u in candidates if any(x in F for v in S for x in ring.product(u, v))}
+    boundary = sum(ring._dim(u) ** 2 for u in inner | outer)
+    window = sum(ring._dim(u) ** 2 for u in F)
+    if boundary != cert.boundary_weight or window != cert.window_weight:
         return False
-    return lhs * cert.epsilon.denominator < cert.epsilon.numerator * rhs_window
+    return boundary * cert.epsilon.denominator < cert.epsilon.numerator * window

@@ -2,19 +2,24 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from folnerlab import (ExhaustionReport, FolnerCertificate, ball, folner_search,
-                       isoperimetric_profile, ring_from_tag,
-                       verify_certificate)
+from folnerlab import (ExhaustionReport, FolnerCertificate, ball, boundary_decomposition,
+                       conjugation_closure, folner_search, isoperimetric_profile,
+                       ring_from_tag, verify_certificate)
 
 SU2 = ring_from_tag("su2")
 Z = ring_from_tag("group:Z")
 Z2 = ring_from_tag("group:Z^2")
 S3 = ring_from_tag("finite:S3")
 HEIS = ring_from_tag("group:heisenberg")
+Z6 = ring_from_tag("group:Z/6")
+ZXZ2 = ring_from_tag("group:ZxZ/2")
 
 
 def su2_first_radius(eps: Fraction) -> int:
@@ -222,7 +227,6 @@ def test_verifier_rejects_corrupted_certificates():
 
 
 def test_verifier_rejects_non_canonical_labels():
-    Z6 = ring_from_tag("group:Z/6")
     cert = folner_search(Z6, [1], Fraction(1, 2), 5)
     assert verify_certificate(Z6, cert)
     assert not verify_certificate(Z6, replace(cert, S=(7,)))
@@ -243,3 +247,83 @@ def test_every_emitted_certificate_revalidates():
         cert = folner_search(ring, S, eps, 64)
         assert isinstance(cert, FolnerCertificate)
         assert verify_certificate(ring, cert)
+
+
+@pytest.mark.parametrize("ring, S, eps, alien", [
+    pytest.param(SU2, [1], Fraction(1, 3), -1, id="su2-negative"),
+    pytest.param(SU2, [1], Fraction(1, 3), "x", id="su2-string"),
+    pytest.param(SU2, [1], Fraction(1, 3), True, id="su2-bool"),
+    pytest.param(HEIS, [(1, 0, 0), (0, 1, 0)], Fraction(1), (1, 0), id="heisenberg-pair"),
+])
+def test_verifier_rejects_labels_outside_the_ring(ring, S, eps, alien):
+    # a label the ring cannot check is a failed certificate, not an error
+    cert = folner_search(ring, S, eps, 64)
+    assert verify_certificate(ring, cert)
+    assert not verify_certificate(ring, replace(cert, F=(alien, *cert.F)))
+    assert not verify_certificate(ring, replace(cert, S=(alien, *cert.S)))
+
+
+CROSS_CASES = (
+    (Z2, st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+    (ZXZ2, st.tuples(st.integers(-3, 3), st.integers(0, 1))),
+    (HEIS, st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))),
+    (Z6, st.integers(0, 5)),
+    (SU2, st.integers(0, 8)),  # product and _support are separate code here
+    (S3, st.sampled_from(S3.labels)),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verifier_agrees_with_boundary_decomposition_on_random_windows(data):
+    # a certificate built from boundary_decomposition's weights verifies at
+    # an epsilon just above its ratio, and at the ratio itself (the
+    # inequality is strict) or with either weight off by one it fails
+    ring, labels = data.draw(st.sampled_from(CROSS_CASES))
+    S = ring.label_set(data.draw(st.lists(labels, min_size=1, max_size=3)))
+    W = conjugation_closure(ring, data.draw(st.lists(labels, min_size=1, max_size=12)))
+    dec = boundary_decomposition(ring, W, S)
+    window, sym = dec.window_weight, dec.symmetric_boundary_weight
+    cert = FolnerCertificate(
+        ring=ring.tag, S=ring.sorted_labels(S), epsilon=Fraction(2 * sym + 1, 2 * window),
+        F=ring.sorted_labels(W), boundary_weight=sym, window_weight=window,
+        strategy="user", radius=0)
+    assert verify_certificate(ring, cert)
+    assert not verify_certificate(ring, replace(cert, epsilon=Fraction(sym, window)))
+    for off in (-1, 1):
+        assert not verify_certificate(ring, replace(cert, boundary_weight=sym + off))
+        assert not verify_certificate(ring, replace(cert, window_weight=window + off))
+
+
+def test_verifier_is_independent_of_the_code_it_rechecks(monkeypatch):
+    # certificates are built first; the re-check then runs with the ball,
+    # shell and boundary code raising, on a stand-in ring that offers only
+    # check_label, product, _conj and _dim
+    from folnerlab import folner, fusion
+
+    certs = [(ring, folner_search(ring, S, eps, 64)) for ring, S, eps in [
+        (SU2, [1], Fraction(1, 3)),
+        (Z2, [(1, 0), (0, 1)], Fraction(1, 2)),
+        (ZXZ2, [(1, 0), (0, 1)], Fraction(1, 2)),
+        (HEIS, [(1, 0, 0), (0, 1, 0)], Fraction(1)),
+        (Z6, [1], Fraction(1, 2)),
+        (S3, ["std"], Fraction(1, 10)),
+    ]]
+    certs.append((Z2, folner_search(Z2, [(1, 0)], Fraction(1, 2), 0,
+                                    windows=[[(a, b) for a in range(-3, 4) for b in range(2)]])))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the re-check reached the code it re-checks")
+
+    for ring, _ in certs:
+        monkeypatch.setattr(ring, "_support", forbidden)
+    for module in (fusion, folner):
+        for name in ("ball", "ball_rows", "_shells", "_decompose", "boundary_decomposition",
+                     "weighted_size"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for ring, cert in certs:
+        assert isinstance(cert, FolnerCertificate)
+        only = SimpleNamespace(check_label=ring.check_label, product=ring.product,
+                               _conj=ring._conj, _dim=ring._dim)
+        assert verify_certificate(only, cert)
